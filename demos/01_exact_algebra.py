@@ -11,8 +11,12 @@ no tolerances anywhere.  Four things are checked:
 3. the quasi-Lie scheme conditions for the fields Y1..Y8 hold, including the
    witness ad_Y3^k(Y6) = (-x)^(k+2) d/dv that leaves the span for k >= 2;
 4. the two first integrals Lambda1, Lambda2 on the 5-copy prolonged space
-   are annihilated by the prolonged generators — the numerators of the Lie
-   derivatives are the zero polynomial, term for term.
+   are annihilated by the prolonged generators.  Each factor F_abc of
+   Lambda = F*F/(F*F) is a relative invariant, X(F) = mu*F, with the
+   cofactor mu found by exact polynomial division; the cofactors of
+   numerator and denominator cancel, so X(Lambda) = 0 exactly.  The
+   quotient-rule numerator of X(Lambda) stays as the reference and as the
+   fallback that decides, and sizes, any case the cofactors do not prove.
 """
 
 from liesuper import (

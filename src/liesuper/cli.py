@@ -101,7 +101,10 @@ def _load_config(path: str, allowed: dict[str, type | tuple]) -> dict:
             f"unknown config key(s) {unknown}; allowed: {sorted(allowed)}"
         )
     for key, types in allowed.items():
-        if key in raw and not isinstance(raw[key], types):
+        if key not in raw:
+            continue
+        # JSON true/false parse as bool, an int subclass; no key takes one
+        if isinstance(raw[key], bool) or not isinstance(raw[key], types):
             raise ConfigError(f"config key {key!r} has the wrong type")
     return raw
 

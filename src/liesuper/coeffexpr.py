@@ -260,7 +260,12 @@ class Exp(_Unary):
     fname = "exp"
 
     def eval(self, t):
-        return self._check(t, math.exp(self.arg.eval(t)))
+        arg = self.arg.eval(t)
+        try:
+            value = math.exp(arg)
+        except OverflowError:
+            raise DomainError(t, self, "overflow") from None
+        return self._check(t, value)
 
     def diff(self):
         return _mul(Exp(self.arg), self.arg.diff())

@@ -153,6 +153,39 @@ class Polynomial:
             out = out * self
         return out
 
+    def exact_div(self, divisor: "Polynomial") -> "Polynomial | None":
+        """The quotient q with self = q * divisor, or None if there is none.
+
+        Division by the lexicographic leading term.  Tuple order on
+        exponent vectors is lex, a monomial order, so the leading term of
+        the remainder strictly decreases and the loop ends.  In a monomial
+        order LT(q * d) = LT(q) * LT(d): a remainder whose leading term is
+        not a multiple of LT(d) is not a multiple of d.
+        """
+        _check_coords(self, divisor)
+        if divisor.is_zero:
+            raise ZeroDivisionError("division by the zero polynomial")
+        lead = max(divisor.terms)
+        lead_c = divisor.terms[lead]
+        tail = [(e, c) for e, c in divisor.terms.items() if e != lead]
+        rem = dict(self.terms)
+        quot: dict[tuple[int, ...], Fraction] = {}
+        while rem:
+            top = max(rem)
+            shift = tuple(a - b for a, b in zip(top, lead))
+            if any(k < 0 for k in shift):
+                return None
+            c = rem.pop(top) / lead_c
+            quot[shift] = c
+            for e, dc in tail:
+                key = tuple(a + b for a, b in zip(shift, e))
+                s = rem.get(key, 0) - c * dc
+                if s:
+                    rem[key] = s
+                else:
+                    rem.pop(key, None)
+        return Polynomial(self.coords, quot)
+
     # -- calculus and evaluation -------------------------------------------
 
     def diff(self, name: str) -> "Polynomial":

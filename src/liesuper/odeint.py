@@ -247,7 +247,10 @@ _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 
 
 
 def _rhs_checked(sys: FirstOrderSystem, t: float, y: tuple[float, float]):
-    d = sys.rhs(t, y[0], y[1])
+    try:
+        d = sys.rhs(t, y[0], y[1])
+    except OverflowError:  # float ** raises where * would give inf
+        raise NonFinite(t) from None
     if not (math.isfinite(d[0]) and math.isfinite(d[1])):
         raise NonFinite(t)
     return d

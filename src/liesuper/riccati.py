@@ -21,7 +21,6 @@ from typing import Sequence
 from .algebra import Report
 from .coeffexpr import CoeffExpr, DomainError, Sqrt
 from .odeint import (
-    ConstraintViolation,
     FirstOrderSystem,
     Trajectory,
     lift_sode,
@@ -82,26 +81,17 @@ class RiccatiCoeffs:
         })
 
 
-def build_riccati(
-    a0, a1, a2, a3, interval: tuple[float, float], samples: int = 64
-) -> RiccatiCoeffs:
+def build_riccati(a0, a1, a2, a3, interval: tuple[float, float]) -> RiccatiCoeffs:
     """Validate the coefficient constraints by sampling and derive b0, b1.
 
-    Positivity of a3 is checked at ``samples``+1 points of the interval, not
-    proven; a3(0) = 1 is required within 1e-12.  Raises ConstraintViolation
-    naming the failing constraint and sample time.
+    The checks are those of :func:`liesuper.odeint.lift_sode`: positivity of
+    a3 at the 65 points of a 64-panel sampling of the interval, not proven,
+    and a3(0) = 1 within 1e-12.  Raises ConstraintViolation naming the
+    failing constraint and sample time.
     """
-    # lift_sode performs the constraint sampling and expression coercion
     sys = lift_sode(
         "riccati", {"a0": a0, "a1": a1, "a2": a2, "a3": a3}, interval=interval
     )
-    if samples > 64:  # lift_sode samples 64 panels; densify if asked for more
-        a3e = sys.coeffs["a3"]
-        t0, t1 = interval
-        for i in range(samples + 1):
-            t = t0 + (t1 - t0) * i / samples
-            if a3e.eval(t) <= 0.0:
-                raise ConstraintViolation("a3(t) > 0", t)
     c = sys.coeffs
     return RiccatiCoeffs(
         c["a0"], c["a1"], c["a2"], c["a3"], c["b0"], c["b1"], tuple(interval)

@@ -79,11 +79,11 @@ def test_criterion_2_matrix_isomorphism():
 
 def test_criterion_3_lambda_annihilation():
     report, elapsed = timed(verify_lambda_annihilation)
-    ok = report.passed and elapsed < 10.0
+    ok = report.passed and elapsed < 1.0
     report_line(
         3, "X1^, X2^ annihilate Lambda1, Lambda2 exactly", ok,
         "all Lie-derivative numerators are the zero polynomial",
-        elapsed, 10,
+        elapsed, 1,
     )
     assert ok
 

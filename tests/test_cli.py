@@ -79,6 +79,28 @@ class TestSolve:
         assert code == 2
         assert "frobnicate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["tol", "points"])
+    def test_bool_for_number_exit2(self, tmp_path, capsys, key):
+        cfg = dict(SOLVE_BASE, **{key: True})
+        code = main(["solve", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and repr(key) in err
+
+    def test_exp_overflow_exit2(self, tmp_path, capsys):
+        cfg = dict(SOLVE_BASE, coefficients={"f": "exp(1000)"})
+        code = main(["solve", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "overflow" in err
+
+    def test_rhs_overflow_exit4(self, tmp_path, capsys):
+        cfg = dict(SOLVE_BASE, initial=[1e200, 0])
+        code = main(["solve", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "non-finite" in err
+
     def test_constraint_violation_exit4(self, tmp_path):
         cfg = {
             "family": "riccati",

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from liesuper.exactpoly import (
     CoordinateMismatch,
@@ -79,6 +79,23 @@ class TestPolynomial:
         q = Polynomial(("a", "b"), {(1, 0): 1})
         with pytest.raises(CoordinateMismatch):
             p + q
+
+
+class TestExactDiv:
+    @given(polynomials(), polynomials())
+    def test_product_divides_back(self, q, d):
+        assume(not d.is_zero)
+        assert (q * d).exact_div(d) == q
+
+    @given(polynomials(), polynomials(), rationals)
+    def test_constant_remainder_is_not_exact(self, q, d, c):
+        assume(d.degree() > 0 and c != 0)
+        assert (q * d + Polynomial.constant(c, COORDS)).exact_div(d) is None
+
+    def test_zero_divisor_rejected(self):
+        p = Polynomial(COORDS, {(1, 0): 1})
+        with pytest.raises(ZeroDivisionError):
+            p.exact_div(Polynomial.zero(COORDS))
 
 
 class TestRationalFunction:

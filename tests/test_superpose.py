@@ -4,8 +4,12 @@ import itertools
 
 import pytest
 
+from liesuper.algebra import builtin_fields
+from liesuper.cli import _mutated_sl3_fields
+from liesuper.exactpoly import derive_along, prolong
 from liesuper.odeint import integrate, lift_sode
 from liesuper.superpose import (
+    LAMBDA_SLOTS,
     Degenerate,
     SuperposeProblem,
     f_abc,
@@ -13,10 +17,14 @@ from liesuper.superpose import (
     g_abcd,
     genericity_product,
     lambda_integrals,
+    lambda_rational_functions,
     reconstruct,
     recover_v0,
     superpose_value,
     verify_lambda_annihilation,
+    _cofactors,
+    _cofactors_cancel,
+    _lambda_f_polynomials,
 )
 from liesuper.worked_example import example_states
 
@@ -233,3 +241,22 @@ class TestLambdaAnnihilation:
         report = verify_lambda_annihilation()
         assert report.passed
         assert all(r.computed == "zero" for r in report.records)
+
+    def test_cofactor_verdict_matches_quotient_rule(self):
+        F = _lambda_f_polynomials()
+        lams = lambda_rational_functions()
+        for X in builtin_fields("sl3-family")[:2]:
+            hat = prolong(X, 5)
+            mu = _cofactors(hat, F)
+            for slots, lam in zip(LAMBDA_SLOTS, lams):
+                assert _cofactors_cancel(mu, slots) == derive_along(hat, lam).num.is_zero
+
+    def test_mutated_x5_fails_exactly_its_two_records(self):
+        report = verify_lambda_annihilation(
+            all_fields=True, fields=_mutated_sl3_fields()
+        )
+        failed = {r.name: r.computed for r in report.records if r.status == "FAIL"}
+        assert failed == {"X5^(Lambda1)": "2016 terms", "X5^(Lambda2)": "2016 terms"}
+        others = [r for r in report.records if r.name not in failed]
+        assert len(others) == 14
+        assert all(r.status == "PASS" and r.computed == "zero" for r in others)
