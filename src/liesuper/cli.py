@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -115,11 +116,29 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _finite_number(value) -> bool:
+    """A JSON number (not true/false) that converts to a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer literal beyond the float range
+        return False
+
+
+def _pair(value, message: str) -> tuple[float, float]:
+    """A JSON list of two finite numbers as floats; else ConfigError(message)."""
+    if not (isinstance(value, list) and len(value) == 2
+            and all(map(_finite_number, value))):
+        raise ConfigError(message)
+    return float(value[0]), float(value[1])
+
+
 def _grid(cfg: dict) -> tuple[float, float, list[float]]:
-    interval = _require(cfg, "interval")
-    if len(interval) != 2 or not interval[0] < interval[1]:
-        raise ConfigError("interval must be [t0, t1] with t0 < t1")
-    t0, t1 = float(interval[0]), float(interval[1])
+    message = "interval must be [t0, t1] with t0 < t1"
+    t0, t1 = _pair(_require(cfg, "interval"), message)
+    if not t0 < t1:
+        raise ConfigError(message)
     points = int(cfg.get("points", 201))
     if points < 2:
         raise ConfigError("points must be at least 2")
@@ -130,8 +149,12 @@ def _grid(cfg: dict) -> tuple[float, float, list[float]]:
 
 def _coeff_exprs(cfg: dict) -> dict:
     coeffs = cfg.get("coefficients", {})
-    if not isinstance(coeffs, dict):
-        raise ConfigError("coefficients must be an object of name -> expression")
+    if not isinstance(coeffs, dict) or not all(
+        isinstance(c, str) or _finite_number(c) for c in coeffs.values()
+    ):
+        raise ConfigError(
+            "coefficients must be an object of name -> expression or finite number"
+        )
     return coeffs
 
 
@@ -215,13 +238,11 @@ def cmd_solve(args, out=None) -> int:
     """Integrate one configured equation and write the trajectory CSV."""
     cfg = _load_config(args.config, _SOLVE_KEYS)
     t0, t1, grid = _grid(cfg)
-    ic = _require(cfg, "initial")
-    if len(ic) != 2:
-        raise ConfigError("initial must be [x0, v0]")
+    ic = _pair(_require(cfg, "initial"), "initial must be [x0, v0]")
     tol = float(cfg.get("tol", _default_tol()))
     sys_ = _build_system(cfg, (t0, t1))
 
-    traj = integrate(sys_, (float(ic[0]), float(ic[1])), t0, grid, tol)
+    traj = integrate(sys_, ic, t0, grid, tol)
 
     output = cfg.get("output")
     if output:
@@ -275,15 +296,17 @@ def _particular_trajectories(cfg: dict, sys_, t0, grid, tol) -> list[Trajectory]
     if (ics is None) == (inputs is None):
         raise ConfigError("give exactly one of initial_conditions / inputs")
     if ics is not None:
-        if len(ics) != 4 or any(len(ic) != 2 for ic in ics):
-            raise ConfigError("initial_conditions must be four [x, v] pairs")
-        return [
-            integrate(sys_, (float(x), float(v)), t0, grid, tol) for x, v in ics
-        ]
-    if len(inputs) != 4:
+        message = "initial_conditions must be four [x, v] pairs"
+        if len(ics) != 4:
+            raise ConfigError(message)
+        ics = [_pair(ic, message) for ic in ics]
+        return [integrate(sys_, ic, t0, grid, tol) for ic in ics]
+    if len(inputs) != 4 or not all(isinstance(p, str) for p in inputs):
         raise ConfigError("inputs must name four trajectory CSV files")
-    trajs = [Trajectory.from_csv(p) for p in inputs]
-    return trajs
+    try:
+        return [Trajectory.from_csv(p) for p in inputs]
+    except OSError as exc:
+        raise ConfigError(f"cannot read input trajectory: {exc}") from None
 
 
 def cmd_superpose(args, out=None) -> int:
@@ -295,16 +318,17 @@ def cmd_superpose(args, out=None) -> int:
     family = _require(cfg, "family")
     sys_ = _build_system(cfg, (t0, t1))
 
+    constants = cfg.get("constants")
+    target = cfg.get("target")
+    if constants is not None:
+        constants = _pair(constants, "constants must be [lam1, lam2]")
+    if target is not None:
+        target = _pair(target, "target must be [x, v]")
+
     trajs = _particular_trajectories(cfg, sys_, t0, grid, tol)
     if cfg.get("inputs") is not None:
         grid = trajs[0].times  # reconstruction runs on the CSV grid
 
-    constants = cfg.get("constants")
-    target = cfg.get("target")
-    if constants is not None:
-        constants = (float(constants[0]), float(constants[1]))
-    if target is not None:
-        target = (float(target[0]), float(target[1]))
     fit_time = cfg.get("fit_time")
 
     if family == "riccati":

@@ -6,6 +6,12 @@ used for the time-dependent ODE coefficients: evaluation is double precision,
 differentiation is exact and symbolic (needed e.g. to build da3/dt when
 deriving the damping coefficient of the canonical Riccati family).
 
+Evaluation is compiled: on first use each node builds a closure ``t -> float``
+over its children's closures (constants converted to float once) and caches
+it on the node, so a right-hand side called millions of times never walks the
+tree or converts a ``Fraction`` again.  ``CoeffExpr.compiled`` hands out that
+closure; ``eval(t)`` calls it.
+
 The companion parser accepts the infix grammar used by the CLI: whitespace
 insensitive, ``^`` for integer powers, ``/`` for division (so rationals are
 written ``p/q``), and function calls ``sin(...)``, ``cos(...)``, ``exp(...)``,
@@ -16,6 +22,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import isfinite
+from typing import Callable
 
 __all__ = [
     "CoeffExpr",
@@ -38,11 +46,24 @@ class DomainError(ArithmeticError):
 
 
 class CoeffExpr:
-    """Base expression node.  Subclasses implement eval() and diff()."""
+    """Base expression node.  Subclasses implement _compile() and diff()."""
 
-    __slots__ = ()
+    __slots__ = ("_fn",)
+
+    @property
+    def compiled(self) -> Callable[[float], float]:
+        """The evaluator ``t -> float``, built on first use and cached."""
+        try:
+            return self._fn
+        except AttributeError:
+            fn = self._compile()
+            object.__setattr__(self, "_fn", fn)
+            return fn
 
     def eval(self, t: float) -> float:
+        return self.compiled(t)
+
+    def _compile(self) -> Callable[[float], float]:
         raise NotImplementedError
 
     def diff(self) -> "CoeffExpr":
@@ -79,11 +100,6 @@ class CoeffExpr:
     def __pow__(self, n: int):
         return Pow(self, n)
 
-    def _check(self, t: float, value: float) -> float:
-        if not math.isfinite(value):
-            raise DomainError(t, self, "non-finite value")
-        return value
-
 
 def _wrap(x) -> CoeffExpr:
     if isinstance(x, CoeffExpr):
@@ -101,8 +117,17 @@ class Const(CoeffExpr):
     def __init__(self, value):
         object.__setattr__(self, "value", Fraction(value))
 
-    def eval(self, t: float) -> float:
-        return float(self.value)
+    def _compile(self):
+        try:
+            value = float(self.value)
+        except OverflowError:  # a literal beyond the float range
+            node = self
+
+            def overflow(t):
+                raise DomainError(t, node, "overflow")
+
+            return overflow
+        return lambda t: value
 
     def diff(self) -> CoeffExpr:
         return Const(0)
@@ -114,8 +139,8 @@ class Const(CoeffExpr):
 class TimeVar(CoeffExpr):
     __slots__ = ()
 
-    def eval(self, t: float) -> float:
-        return t
+    def _compile(self):
+        return lambda t: t
 
     def diff(self) -> CoeffExpr:
         return Const(1)
@@ -139,8 +164,16 @@ class _Binary(CoeffExpr):
 class Add(_Binary):
     symbol = "+"
 
-    def eval(self, t):
-        return self._check(t, self.left.eval(t) + self.right.eval(t))
+    def _compile(self):
+        left, right, node = self.left.compiled, self.right.compiled, self
+
+        def add(t):
+            value = left(t) + right(t)
+            if isfinite(value):
+                return value
+            raise DomainError(t, node, "non-finite value")
+
+        return add
 
     def diff(self):
         return _add(self.left.diff(), self.right.diff())
@@ -149,8 +182,16 @@ class Add(_Binary):
 class Sub(_Binary):
     symbol = "-"
 
-    def eval(self, t):
-        return self._check(t, self.left.eval(t) - self.right.eval(t))
+    def _compile(self):
+        left, right, node = self.left.compiled, self.right.compiled, self
+
+        def sub(t):
+            value = left(t) - right(t)
+            if isfinite(value):
+                return value
+            raise DomainError(t, node, "non-finite value")
+
+        return sub
 
     def diff(self):
         return _sub(self.left.diff(), self.right.diff())
@@ -159,8 +200,16 @@ class Sub(_Binary):
 class Mul(_Binary):
     symbol = "*"
 
-    def eval(self, t):
-        return self._check(t, self.left.eval(t) * self.right.eval(t))
+    def _compile(self):
+        left, right, node = self.left.compiled, self.right.compiled, self
+
+        def mul(t):
+            value = left(t) * right(t)
+            if isfinite(value):
+                return value
+            raise DomainError(t, node, "non-finite value")
+
+        return mul
 
     def diff(self):
         return _add(
@@ -171,11 +220,19 @@ class Mul(_Binary):
 class Div(_Binary):
     symbol = "/"
 
-    def eval(self, t):
-        den = self.right.eval(t)
-        if den == 0.0:
-            raise DomainError(t, self, "division by zero")
-        return self._check(t, self.left.eval(t) / den)
+    def _compile(self):
+        left, right, node = self.left.compiled, self.right.compiled, self
+
+        def div(t):
+            den = right(t)  # the denominator is evaluated first
+            if den == 0.0:
+                raise DomainError(t, node, "division by zero")
+            value = left(t) / den
+            if isfinite(value):
+                return value
+            raise DomainError(t, node, "non-finite value")
+
+        return div
 
     def diff(self):
         num = _sub(
@@ -190,8 +247,9 @@ class Neg(CoeffExpr):
     def __init__(self, arg: CoeffExpr):
         object.__setattr__(self, "arg", arg)
 
-    def eval(self, t):
-        return -self.arg.eval(t)
+    def _compile(self):
+        arg = self.arg.compiled
+        return lambda t: -arg(t)
 
     def diff(self):
         return Neg(self.arg.diff())
@@ -209,11 +267,22 @@ class Pow(CoeffExpr):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", exponent)
 
-    def eval(self, t):
-        base = self.base.eval(t)
-        if base == 0.0 and self.exponent < 0:
-            raise DomainError(t, self, "zero raised to a negative power")
-        return self._check(t, base**self.exponent)
+    def _compile(self):
+        base_fn, n, node = self.base.compiled, self.exponent, self
+
+        def power(t):
+            base = base_fn(t)
+            if base == 0.0 and n < 0:
+                raise DomainError(t, node, "zero raised to a negative power")
+            try:
+                value = base**n
+            except OverflowError:
+                raise DomainError(t, node, "overflow") from None
+            if isfinite(value):
+                return value
+            raise DomainError(t, node, "non-finite value")
+
+        return power
 
     def diff(self):
         n = self.exponent
@@ -239,8 +308,9 @@ class _Unary(CoeffExpr):
 class Sin(_Unary):
     fname = "sin"
 
-    def eval(self, t):
-        return math.sin(self.arg.eval(t))
+    def _compile(self):
+        arg, sin = self.arg.compiled, math.sin
+        return lambda t: sin(arg(t))
 
     def diff(self):
         return _mul(Cos(self.arg), self.arg.diff())
@@ -249,8 +319,9 @@ class Sin(_Unary):
 class Cos(_Unary):
     fname = "cos"
 
-    def eval(self, t):
-        return math.cos(self.arg.eval(t))
+    def _compile(self):
+        arg, cos = self.arg.compiled, math.cos
+        return lambda t: cos(arg(t))
 
     def diff(self):
         return _mul(Neg(Sin(self.arg)), self.arg.diff())
@@ -259,13 +330,20 @@ class Cos(_Unary):
 class Exp(_Unary):
     fname = "exp"
 
-    def eval(self, t):
-        arg = self.arg.eval(t)
-        try:
-            value = math.exp(arg)
-        except OverflowError:
-            raise DomainError(t, self, "overflow") from None
-        return self._check(t, value)
+    def _compile(self):
+        arg_fn, exp, node = self.arg.compiled, math.exp, self
+
+        def exponential(t):
+            arg = arg_fn(t)
+            try:
+                value = exp(arg)
+            except OverflowError:
+                raise DomainError(t, node, "overflow") from None
+            if isfinite(value):
+                return value
+            raise DomainError(t, node, "non-finite value")
+
+        return exponential
 
     def diff(self):
         return _mul(Exp(self.arg), self.arg.diff())
@@ -274,11 +352,16 @@ class Exp(_Unary):
 class Sqrt(_Unary):
     fname = "sqrt"
 
-    def eval(self, t):
-        v = self.arg.eval(t)
-        if v < 0.0:
-            raise DomainError(t, self, "sqrt of a negative value")
-        return math.sqrt(v)
+    def _compile(self):
+        arg_fn, sqrt, node = self.arg.compiled, math.sqrt, self
+
+        def square_root(t):
+            v = arg_fn(t)
+            if v < 0.0:
+                raise DomainError(t, node, "sqrt of a negative value")
+            return sqrt(v)
+
+        return square_root
 
     def diff(self):
         return Div(self.arg.diff(), _mul(Const(2), Sqrt(self.arg)))

@@ -1,11 +1,15 @@
 """First-order lifts of the supported SODE families and their numerical integration.
 
 The integrator is an embedded Dormand-Prince 5(4) pair with PI step-size
-control.  Dense output is obtained by clipping steps so that every requested
-grid time is hit exactly (no interpolation), which keeps the correctness
-story simple; grids here are small.  The cubic nonlinearity of the supported
-equations admits finite-time blow-up, so step-size underflow is reported as
-``BlowUp`` rather than ground through.
+control.  There is no dense output: steps are clipped so that every
+requested grid time is hit exactly (no interpolation), which keeps the
+correctness story simple; grids here are small.  The pair is FSAL: the last
+stage of an accepted step is the right-hand side at the new state, so it is
+the first stage of the next step, and a rejected step keeps its first stage.
+Each attempted step costs six right-hand-side evaluations, plus one for the
+very first stage.  The cubic nonlinearity of the supported equations admits
+finite-time blow-up, so step-size underflow is reported as ``BlowUp`` rather
+than ground through.
 
 An independent finite-difference residual oracle is provided to check that a
 trajectory (however it was produced) actually satisfies its equation.
@@ -28,6 +32,7 @@ __all__ = [
     "Trajectory",
     "lift_sode",
     "riccati_damping",
+    "riccati_system",
     "integrate",
     "residual",
 ]
@@ -115,6 +120,30 @@ def _check_riccati_constraints(a3: CoeffExpr, interval, samples: int = 64):
             raise ConstraintViolation("a3(t) > 0", t)
 
 
+def riccati_system(a0: CoeffExpr, a1: CoeffExpr, a2: CoeffExpr, a3: CoeffExpr,
+                   b0: CoeffExpr, b1: CoeffExpr) -> FirstOrderSystem:
+    """The Riccati-family lift vdot = -(b0+b1*x)v - a0 - a1*x - a2*x^2 - a3*x^3.
+
+    Checks no constraint and takes b0, b1 as given: ``lift_sode`` passes the
+    derived ones, ``RiccatiCoeffs.system`` may pass a replacement b0 as a
+    negative control.
+    """
+    b0_t, b1_t, a0_t, a1_t, a2_t, a3_t = (
+        e.compiled for e in (b0, b1, a0, a1, a2, a3)
+    )
+
+    def rhs(t, x, v):
+        return (
+            v,
+            -(b0_t(t) + b1_t(t) * x) * v
+            - a0_t(t) - a1_t(t) * x - a2_t(t) * x**2 - a3_t(t) * x**3,
+        )
+
+    return FirstOrderSystem(
+        "riccati", rhs, {"a0": a0, "a1": a1, "a2": a2, "a3": a3, "b0": b0, "b1": b1}
+    )
+
+
 def lift_sode(family: str, coeffs: dict | None = None,
               interval: tuple[float, float] = (0.0, 1.0)) -> FirstOrderSystem:
     """Build the first-order lift of one of the supported SODE families.
@@ -135,47 +164,39 @@ def lift_sode(family: str, coeffs: dict | None = None,
         return coeffs.get(name, Const(default))
 
     if family == "mdpi":
-        f = get("f")
+        f_expr = get("f")
+        f = f_expr.compiled
 
         def rhs(t, x, v):
-            return (v, -3.0 * x * v - x**3 + f.eval(t))
+            return (v, -3.0 * x * v - x**3 + f(t))
 
-        return FirstOrderSystem("mdpi", rhs, {"f": f})
+        return FirstOrderSystem("mdpi", rhs, {"f": f_expr})
 
     if family == "exam2":
-        lam1 = get("lam1")
+        lam1_expr = get("lam1")
+        lam1 = lam1_expr.compiled
 
         def rhs(t, x, v):
-            return (v, -3.0 * x * v - x**3 - lam1.eval(t) * x)
+            return (v, -3.0 * x * v - x**3 - lam1(t) * x)
 
-        return FirstOrderSystem("exam2", rhs, {"lam1": lam1})
+        return FirstOrderSystem("exam2", rhs, {"lam1": lam1_expr})
 
     if family == "general":
-        f, g, h = get("f"), get("g"), get("h")
+        exprs = {"f": get("f"), "g": get("g"), "h": get("h")}
+        f, g, h = (e.compiled for e in exprs.values())
 
         def rhs(t, x, v):
             return (
                 v,
-                -3.0 * x * v - x**3 - f.eval(t) * (v + x**2) - g.eval(t) * x - h.eval(t),
+                -3.0 * x * v - x**3 - f(t) * (v + x**2) - g(t) * x - h(t),
             )
 
-        return FirstOrderSystem("general", rhs, {"f": f, "g": g, "h": h})
+        return FirstOrderSystem("general", rhs, exprs)
 
     if family == "riccati":
         a0, a1, a2, a3 = get("a0"), get("a1"), get("a2"), get("a3", 1)
         _check_riccati_constraints(a3, interval)
-        b0, b1 = riccati_damping(a2, a3)
-
-        def rhs(t, x, v):
-            return (
-                v,
-                -(b0.eval(t) + b1.eval(t) * x) * v
-                - a0.eval(t) - a1.eval(t) * x - a2.eval(t) * x**2 - a3.eval(t) * x**3,
-            )
-
-        return FirstOrderSystem(
-            "riccati", rhs, {"a0": a0, "a1": a1, "a2": a2, "a3": a3, "b0": b0, "b1": b1}
-        )
+        return riccati_system(a0, a1, a2, a3, *riccati_damping(a2, a3))
 
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
@@ -231,7 +252,9 @@ class Trajectory:
         return cls(times, states)
 
 
-# Dormand-Prince 5(4) tableau
+# Dormand-Prince 5(4) tableau.  The fifth-order weights are the last row of
+# _A with weight 0 on the last stage (the pair is FSAL), so the last stage
+# point y + h*sum(_A[6][j]*k[j]) is the fifth-order solution itself.
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = (
     (),
@@ -242,18 +265,17 @@ _A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
 
-def _rhs_checked(sys: FirstOrderSystem, t: float, y: tuple[float, float]):
+def _rhs_checked(rhs, t: float, x: float, v: float) -> tuple[float, float]:
     try:
-        d = sys.rhs(t, y[0], y[1])
+        dx, dv = rhs(t, x, v)
     except OverflowError:  # float ** raises where * would give inf
         raise NonFinite(t) from None
-    if not (math.isfinite(d[0]) and math.isfinite(d[1])):
+    if not (math.isfinite(dx) and math.isfinite(dv)):
         raise NonFinite(t)
-    return d
+    return dx, dv
 
 
 def integrate(
@@ -269,6 +291,7 @@ def integrate(
     atol + rtol*|y| with atol = rtol = tol.  Raises BlowUp when the step
     size underflows below STEP_UNDERFLOW_FACTOR times the window length,
     and NonFinite when the right-hand side stops being finite.
+    ``Trajectory.steps`` counts attempted steps, rejected ones included.
     """
     grid = list(grid)
     if not grid or grid[0] != t0:
@@ -279,57 +302,87 @@ def integrate(
     if not tol > 0.0:
         raise ValueError("tol must be positive")
 
+    c0, c1, c2, c3, c4, c5, c6 = _C
+    (_, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43),
+     (a50, a51, a52, a53, a54), (a60, a61, a62, a63, a64, a65)) = _A
+    e0, e1, e2, e3, e4, e5, e6 = _B4
+    rhs = sys.rhs
+
     span = max(grid[-1] - t0, 1e-300)
     h_min = STEP_UNDERFLOW_FACTOR * span
     atol = rtol = tol
 
     t = t0
-    y = (float(ic[0]), float(ic[1]))
-    out_states = [y]
+    x, v = float(ic[0]), float(ic[1])
+    out_states = [(x, v)]
+    # The stage sums below are written out term by term in tableau order:
+    # the order of the seven-stage loop this integrator replaced, which
+    # summed from an integer 0.  Leaving out that 0 can only turn a +0.0
+    # sum into -0.0, and y + h*sum absorbs the sign unless y is -0.0.  A
+    # state computed as y + h*sum never is; adding 0.0 to the initial state
+    # keeps every state, stage and error bit for bit equal to that loop's.
+    x += 0.0
+    v += 0.0
     h = span / 100.0
     err_prev = 1.0
     steps = 0
+    k0x, k0v = _rhs_checked(rhs, t + c0 * h, x, v)
 
     for t_target in grid[1:]:
         while t < t_target:
             h = min(h, t_target - t)
             if h < h_min:
                 raise BlowUp(t)
-            # seven stages (FSAL not exploited)
-            k = []
-            for s in range(7):
-                ts = t + _C[s] * h
-                ys = (
-                    y[0] + h * sum(_A[s][j] * k[j][0] for j in range(s)),
-                    y[1] + h * sum(_A[s][j] * k[j][1] for j in range(s)),
-                )
-                k.append(_rhs_checked(sys, ts, ys))
-            y5 = tuple(
-                y[i] + h * sum(_B5[s] * k[s][i] for s in range(7)) for i in range(2)
-            )
-            y4 = tuple(
-                y[i] + h * sum(_B4[s] * k[s][i] for s in range(7)) for i in range(2)
-            )
-            if not all(math.isfinite(c) for c in y5):
+            # stages 1..6; stage 0 is the last stage of the previous
+            # accepted step, or kept from the rejected attempt
+            k1x, k1v = _rhs_checked(
+                rhs, t + c1 * h, x + h * (a10 * k0x), v + h * (a10 * k0v))
+            k2x, k2v = _rhs_checked(
+                rhs, t + c2 * h,
+                x + h * (a20 * k0x + a21 * k1x),
+                v + h * (a20 * k0v + a21 * k1v))
+            k3x, k3v = _rhs_checked(
+                rhs, t + c3 * h,
+                x + h * (a30 * k0x + a31 * k1x + a32 * k2x),
+                v + h * (a30 * k0v + a31 * k1v + a32 * k2v))
+            k4x, k4v = _rhs_checked(
+                rhs, t + c4 * h,
+                x + h * (a40 * k0x + a41 * k1x + a42 * k2x + a43 * k3x),
+                v + h * (a40 * k0v + a41 * k1v + a42 * k2v + a43 * k3v))
+            k5x, k5v = _rhs_checked(
+                rhs, t + c5 * h,
+                x + h * (a50 * k0x + a51 * k1x + a52 * k2x + a53 * k3x
+                         + a54 * k4x),
+                v + h * (a50 * k0v + a51 * k1v + a52 * k2v + a53 * k3v
+                         + a54 * k4v))
+            y5x = x + h * (a60 * k0x + a61 * k1x + a62 * k2x + a63 * k3x
+                           + a64 * k4x + a65 * k5x)
+            y5v = v + h * (a60 * k0v + a61 * k1v + a62 * k2v + a63 * k3v
+                           + a64 * k4v + a65 * k5v)
+            k6x, k6v = _rhs_checked(rhs, t + c6 * h, y5x, y5v)
+            y4x = x + h * (e0 * k0x + e1 * k1x + e2 * k2x + e3 * k3x
+                           + e4 * k4x + e5 * k5x + e6 * k6x)
+            y4v = v + h * (e0 * k0v + e1 * k1v + e2 * k2v + e3 * k3v
+                           + e4 * k4v + e5 * k5v + e6 * k6v)
+            if not (math.isfinite(y5x) and math.isfinite(y5v)):
                 raise NonFinite(t)
             err = math.sqrt(
                 0.5
-                * sum(
-                    ((y5[i] - y4[i]) / (atol + rtol * max(abs(y[i]), abs(y5[i])))) ** 2
-                    for i in range(2)
-                )
+                * (((y5x - y4x) / (atol + rtol * max(abs(x), abs(y5x)))) ** 2
+                   + ((y5v - y4v) / (atol + rtol * max(abs(v), abs(y5v)))) ** 2)
             )
             steps += 1
             if err <= 1.0:
                 t = t + h
-                y = y5
+                x, v = y5x, y5v
+                k0x, k0v = k6x, k6v
                 # PI controller (Hairer-style exponents for a 5th order pair)
                 factor = 0.9 * (err + 1e-300) ** -0.14 * (err_prev + 1e-300) ** 0.08
                 err_prev = max(err, 1e-10)
             else:
                 factor = max(0.9 * (err + 1e-300) ** -0.2, 0.2)
             h = h * min(max(factor, 0.2), 5.0)
-        out_states.append(y)
+        out_states.append((x, v))
 
     return Trajectory(list(grid), out_states, tol=tol, steps=steps)
 

@@ -24,7 +24,7 @@ from .odeint import (
     FirstOrderSystem,
     Trajectory,
     lift_sode,
-    riccati_damping,
+    riccati_system,
 )
 from .superpose import (
     EPS_GEN,
@@ -66,19 +66,7 @@ class RiccatiCoeffs:
     def system(self, b0_override: CoeffExpr | None = None) -> FirstOrderSystem:
         """First-order lift; ``b0_override`` exists for negative controls."""
         b0 = self.b0 if b0_override is None else b0_override
-
-        a0, a1, a2, a3, b1 = self.a0, self.a1, self.a2, self.a3, self.b1
-
-        def rhs(t, x, v):
-            return (
-                v,
-                -(b0.eval(t) + b1.eval(t) * x) * v
-                - a0.eval(t) - a1.eval(t) * x - a2.eval(t) * x**2 - a3.eval(t) * x**3,
-            )
-
-        return FirstOrderSystem("riccati", rhs, {
-            "a0": a0, "a1": a1, "a2": a2, "a3": a3, "b0": b0, "b1": b1,
-        })
+        return riccati_system(self.a0, self.a1, self.a2, self.a3, b0, self.b1)
 
 
 def build_riccati(a0, a1, a2, a3, interval: tuple[float, float]) -> RiccatiCoeffs:

@@ -122,45 +122,15 @@ def lambda_integrals(
     return F431 * F210 / den1, F431 * F420 / den2
 
 
-def recover_v0(
-    s: Sequence[State],
-    x0: float,
-    lam1: float,
-    eps_gen: float = EPS_GEN,
-    t: float | None = None,
-) -> float:
-    """Invert Lambda1 for the velocity of the unknown slot.
-
-    ``s`` holds the four particular slot states (1..4); ``x0`` is the
-    position of slot 0.
-    """
+def _pivots(s: Sequence[State]) -> tuple[float, float]:
+    """F431 and F421 of the four particular slot states (1..4)."""
     s1, s2, s3, s4 = s
-    x1, v1 = s1
-    x2, v2 = s2
-    x3, v3 = s3
-    F431 = f_abc(s4, s3, s1)
-    F421 = f_abc(s4, s2, s1)
-    num = (
-        v1 * (x2 - x0) + v2 * (x0 - x1) + (x1 - x0) * (x0 - x2) * (x2 - x1)
-    ) * F431 + (
-        v3 * (x1 - x0) + v1 * (x0 - x3) + (x0 - x1) * (x1 - x3) * (x3 - x0)
-    ) * F421 * lam1
-    den = (x2 - x1) * F431 + (x1 - x3) * F421 * lam1
-    _guard("v0-denominator", den, abs(num), eps_gen, t)
-    return num / den
+    return f_abc(s4, s3, s1), f_abc(s4, s2, s1)
 
 
-def superpose_value(
-    s: Sequence[State],
-    lam1: float,
-    lam2: float,
-    eps_gen: float = EPS_GEN,
-    t: float | None = None,
-) -> float:
-    """Position of the unknown slot from four particular states and constants."""
+def _position(s, F431, F421, lam1, lam2, eps_gen, t) -> tuple[float, float]:
+    """x0 of the superposition formula and its denominator."""
     s1, s2, s3, s4 = s
-    F431 = f_abc(s4, s3, s1)
-    F421 = f_abc(s4, s2, s1)
     F124 = f_abc(s1, s2, s4)
     F324 = f_abc(s3, s2, s4)
     F412 = f_abc(s4, s1, s2)
@@ -175,8 +145,50 @@ def superpose_value(
         lam1 * lam2 * F421,
     )
     den = sum(terms)
-    _guard("superposition denominator", den, max(abs(x) for x in terms), eps_gen, t)
+    _guard("superposition denominator", den, max(map(abs, terms)), eps_gen, t)
+    return num / den, den
+
+
+def _velocity(s, F431, F421, x0, lam1, eps_gen, t) -> float:
+    """v0 from inverting Lambda1 at the position x0."""
+    s1, s2, s3, _ = s
+    x1, v1 = s1
+    x2, v2 = s2
+    x3, v3 = s3
+    num = (
+        v1 * (x2 - x0) + v2 * (x0 - x1) + (x1 - x0) * (x0 - x2) * (x2 - x1)
+    ) * F431 + (
+        v3 * (x1 - x0) + v1 * (x0 - x3) + (x0 - x1) * (x1 - x3) * (x3 - x0)
+    ) * F421 * lam1
+    den = (x2 - x1) * F431 + (x1 - x3) * F421 * lam1
+    _guard("v0-denominator", den, abs(num), eps_gen, t)
     return num / den
+
+
+def recover_v0(
+    s: Sequence[State],
+    x0: float,
+    lam1: float,
+    eps_gen: float = EPS_GEN,
+    t: float | None = None,
+) -> float:
+    """Invert Lambda1 for the velocity of the unknown slot.
+
+    ``s`` holds the four particular slot states (1..4); ``x0`` is the
+    position of slot 0.
+    """
+    return _velocity(s, *_pivots(s), x0, lam1, eps_gen, t)
+
+
+def superpose_value(
+    s: Sequence[State],
+    lam1: float,
+    lam2: float,
+    eps_gen: float = EPS_GEN,
+    t: float | None = None,
+) -> float:
+    """Position of the unknown slot from four particular states and constants."""
+    return _position(s, *_pivots(s), lam1, lam2, eps_gen, t)[0]
 
 
 def fit_constants(
@@ -265,19 +277,10 @@ def reconstruct(problem: SuperposeProblem) -> ReconstructionResult:
     min_den = float("inf")
     for i, t in enumerate(grid):
         s = _slot_states(trajs, i)
-        s1, s2, s3, s4 = s
-        F431 = f_abc(s4, s3, s1)
-        F421 = f_abc(s4, s2, s1)
-        den = (
-            F431
-            + (f_abc(s1, s2, s4) - f_abc(s3, s2, s4)) * lam1
-            + (f_abc(s4, s1, s2) - f_abc(s3, s1, s2)) * lam2
-            + lam1 * lam2 * F421
-        )
+        F431, F421 = _pivots(s)
+        x0, den = _position(s, F431, F421, lam1, lam2, eps, t)
         min_den = min(min_den, abs(den))
-        x0 = superpose_value(s, lam1, lam2, eps_gen=eps, t=t)
-        v0 = recover_v0(s, x0, lam1, eps_gen=eps, t=t)
-        states.append((x0, v0))
+        states.append((x0, _velocity(s, F431, F421, x0, lam1, eps, t)))
 
     traj = Trajectory(list(grid), states, tol=trajs[0].tol, status="reconstructed")
     return ReconstructionResult(traj, lam1, lam2, min_den)

@@ -94,6 +94,37 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "overflow" in err
 
+    @pytest.mark.parametrize("family,coefficients", [
+        ("mdpi", {"f": "(t+1000)^200"}),
+        ("riccati", {"a3": "1 + t*(t+1000)^200"}),  # evaluated by the a3 checks
+        ("mdpi", {"f": "1" + "0" * 400}),  # a literal beyond the float range
+    ])
+    def test_power_overflow_exit2(self, tmp_path, capsys, family, coefficients):
+        cfg = dict(SOLVE_BASE, family=family, coefficients=coefficients)
+        code = main(["solve", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "overflow" in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("interval", [0, "x"]),
+        ("interval", [0, True]),
+        ("interval", [0]),
+        ("interval", [0, 10**400]),
+        ("initial", [1, None]),
+        ("initial", ["1", 0]),
+        ("coefficients", {"f": None}),
+        ("coefficients", {"f": [1]}),
+        ("coefficients", {"f": float("inf")}),
+        ("coefficients", {"f": 10**400}),
+    ])
+    def test_malformed_shape_exit2(self, tmp_path, capsys, key, value):
+        cfg = dict(SOLVE_BASE, **{key: value})
+        code = main(["solve", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and key in err
+
     def test_rhs_overflow_exit4(self, tmp_path, capsys):
         cfg = dict(SOLVE_BASE, initial=[1e200, 0])
         code = main(["solve", "--config", write_config(tmp_path, "c.json", cfg)])
@@ -249,6 +280,35 @@ class TestSuperpose:
         }
         code = main(["superpose", "--config", write_config(tmp_path, "c.json", cfg)])
         assert code == 2
+
+
+    @pytest.mark.parametrize("key,value", [
+        ("constants", [1]),
+        ("constants", [1, "a"]),
+        ("target", [0.1]),
+        ("target", [True, 0]),
+        ("target", [float("nan"), 0]),
+        ("initial_conditions", [[0.1, 0.2], [0.3], [0.3, -0.1], [-0.2, 0.4]]),
+        ("inputs", [0, 1, 2, 3]),
+        ("inputs", ["missing-a.csv", "missing-b.csv", "missing-c.csv", "missing-d.csv"]),
+    ])
+    def test_malformed_shape_exit2(self, tmp_path, capsys, key, value):
+        cfg = {
+            "family": "mdpi",
+            "interval": [0, 1],
+            "points": 11,
+            "initial_conditions": [[0.1, 0.2], [0.3, 0.1], [0.3, -0.1], [-0.2, 0.4]],
+            "constants": [0.3, 0.7],
+        }
+        if key == "target":
+            del cfg["constants"]
+        if key == "inputs":
+            del cfg["initial_conditions"]
+        cfg[key] = value
+        code = main(["superpose", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and ("input" if key == "inputs" else key) in err
 
 
 class TestRank:

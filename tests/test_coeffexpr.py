@@ -1,18 +1,29 @@
 """Expression trees: evaluation, exact differentiation, and the parser."""
 
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from liesuper.coeffexpr import (
+    Add,
     Const,
+    Cos,
+    Div,
     DomainError,
+    Exp,
+    Mul,
+    Neg,
     ParseError,
+    Pow,
+    Sin,
     Sqrt,
+    Sub,
     TimeVar,
     parse_expr,
 )
+from reference import tree_eval
 
 CASES = [
     ("0", lambda t: 0.0),
@@ -42,6 +53,64 @@ class TestEval:
         # 0.1 parses as the rational 1/10, not the nearest double
         e = parse_expr("0.1 * 10 - 1")
         assert e.eval(0.0) == 0.0
+
+
+def _outcome(fn, t):
+    """("value", bits) or ("error", type, node, reason, t) of one evaluation."""
+    try:
+        value = fn(t)
+    except DomainError as exc:
+        return ("error", DomainError, id(exc.node), exc.reason, exc.t)
+    except (ValueError, OverflowError) as exc:
+        return ("error", type(exc))
+    return ("value", "nan" if math.isnan(value) else value.hex())
+
+
+_leaves = st.one_of(
+    st.just(TimeVar()),
+    st.builds(Const, st.fractions(min_value=-20, max_value=20, max_denominator=7)),
+    st.just(Const(10**400)),  # beyond the float range
+)
+_trees = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(
+        st.builds(Add, kids, kids),
+        st.builds(Sub, kids, kids),
+        st.builds(Mul, kids, kids),
+        st.builds(Div, kids, kids),
+        st.builds(Neg, kids),
+        st.builds(Pow, kids, st.integers(-4, 6) | st.sampled_from([200, 400])),
+        st.builds(Sin, kids),
+        st.builds(Cos, kids),
+        st.builds(Exp, kids),
+        st.builds(Sqrt, kids),
+    ),
+    max_leaves=12,
+)
+_times = st.floats(-60, 60) | st.sampled_from([0.0, -0.0, 1.0, 0.5])
+
+
+class TestCompiled:
+    @settings(max_examples=300, deadline=None)
+    @given(_trees, st.lists(_times, min_size=1, max_size=4))
+    def test_matches_tree_walk_bit_for_bit(self, e, times):
+        # values agree to the last bit; errors name the same node, reason, t
+        for t in times:
+            assert _outcome(e.eval, t) == _outcome(lambda t: tree_eval(e, t), t)
+
+    def test_closure_is_built_once(self):
+        e = parse_expr("1 + t^2")
+        assert e.compiled is e.compiled
+        assert e.compiled(3.0) == e.eval(3.0) == 10.0
+
+    def test_constants_keep_exact_rational_value(self):
+        assert Const(Fraction(1, 3)).eval(0.0) == float(Fraction(1, 3))
+
+    def test_power_overflow_is_a_domain_error(self):
+        e = parse_expr("(t + 1000)^200")
+        with pytest.raises(DomainError) as exc:
+            e.eval(0.0)
+        assert exc.value.reason == "overflow" and exc.value.node is e
 
 
 class TestDiff:

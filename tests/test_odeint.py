@@ -1,20 +1,24 @@
 """Integrator, family lifts, CSV round-trip, and the residual oracle."""
 
+import dataclasses
 import math
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from liesuper.coeffexpr import Const
 from liesuper.odeint import (
     BlowUp,
     ConstraintViolation,
     GridTooCoarse,
+    NonFinite,
     Trajectory,
     integrate,
     lift_sode,
     residual,
     riccati_damping,
 )
+from reference import dopri5_reference
 
 
 def grid(t0, t1, n):
@@ -106,6 +110,117 @@ class TestIntegrate:
             integrate(sys, (1.0, -1.0), 0.0, [0.0, 0.0, 1.0], 1e-10)
         with pytest.raises(ValueError):
             integrate(sys, (1.0, -1.0), 0.0, grid(0.0, 1.0, 5), -1e-10)
+
+
+FAMILY_COEFFS = {
+    "mdpi": [{"f": "0"}, {"f": "0.4*sin(2*t) - 1/10"}],
+    "exam2": [{"lam1": "1"}, {"lam1": "1/2 + t"}],
+    "general": [{"f": "sin(t)", "g": "cos(t)", "h": "0.1"}, {"f": "t", "g": "-2", "h": "exp(-t)"}],
+    "riccati": [{"a3": "1"}, {"a0": "cos(t)", "a1": "0.3", "a2": "sin(t)/2", "a3": "1 + t^2/4"}],
+}
+
+
+def _outcome(integrator, sys, ic, g, tol):
+    """Result or exception of one run, plus the arguments of every rhs call.
+
+    The reference loop repeats at stage 0 the point of the previous step's
+    last stage (or of the rejected attempt's stage 0), so those calls are
+    dropped from its record before comparing.
+    """
+    calls = []
+    plain = sys.rhs
+
+    def rhs(t, x, v):
+        calls.append((t.hex(), x.hex(), v.hex()))
+        return plain(t, x, v)
+
+    traced = dataclasses.replace(sys, rhs=rhs)
+    try:
+        traj = integrator(traced, ic, g[0], g, tol)
+        result = (traj.steps, [(x.hex(), v.hex()) for x, v in traj.states])
+    except BlowUp as exc:
+        result = ("BlowUp", exc.t_star.hex())
+    except NonFinite as exc:
+        result = ("NonFinite", exc.t.hex())
+    if integrator is dopri5_reference:
+        calls = calls[:1] + [c for i, c in enumerate(calls) if i % 7]
+    return result, calls
+
+
+class TestAgainstReference:
+    """The FSAL integrator against the seven-stage loop it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(sorted(FAMILY_COEFFS)),
+        st.integers(0, 1),
+        st.tuples(st.floats(-2, 2), st.floats(-2, 2)),
+        st.floats(-12, -3),
+        st.floats(0.05, 3.0),
+        st.integers(2, 25),
+    )
+    def test_states_steps_and_rhs_calls_bit_for_bit(
+        self, family, which, ic, log_tol, t1, n
+    ):
+        sys = lift_sode(family, FAMILY_COEFFS[family][which], interval=(0.0, t1))
+        g = grid(0.0, t1, n)
+        g[-1] = t1
+        tol = 10.0**log_tol
+        assert _outcome(integrate, sys, ic, g, tol) == _outcome(
+            dopri5_reference, sys, ic, g, tol
+        )
+
+    @pytest.mark.parametrize("family", ["mdpi", "exam2"])
+    @pytest.mark.parametrize("ic", [(-0.0, -0.0), (0.0, -0.0), (-0.0, 1.0)])
+    def test_signed_zero_initial_state(self, family, ic):
+        sys = lift_sode(family)
+        g = grid(0.0, 1.0, 6)
+        assert _outcome(integrate, sys, ic, g, 1e-8) == _outcome(
+            dopri5_reference, sys, ic, g, 1e-8
+        )
+
+    @staticmethod
+    def _counting(sys):
+        """``sys`` with an rhs that records the time of every call."""
+        times = []
+        plain = sys.rhs
+
+        def rhs(t, x, v):
+            times.append(t)
+            return plain(t, x, v)
+
+        return dataclasses.replace(sys, rhs=rhs), times
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from(sorted(FAMILY_COEFFS)),
+        st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
+        st.floats(-10, -3),
+        st.integers(2, 12),
+    )
+    def test_six_rhs_calls_per_attempted_step_plus_one(self, family, ic, log_tol, n):
+        sys, times = self._counting(lift_sode(family, FAMILY_COEFFS[family][1]))
+        try:
+            traj = integrate(sys, ic, 0.0, grid(0.0, 1.0, n), 10.0**log_tol)
+        except BlowUp:
+            reject()  # no step count to compare with
+        assert len(times) == 6 * traj.steps + 1
+
+    def test_rejected_steps_reuse_the_first_stage(self):
+        g = [0.0, 50.0]
+        sys = lift_sode("mdpi")
+        counted, times = self._counting(sys)
+        traj = integrate(counted, (1.0, -1.0), 0.0, g, 1e-8)
+        ref_sys, ref_times = self._counting(sys)
+        ref = dopri5_reference(ref_sys, (1.0, -1.0), 0.0, g, 1e-8)
+        # the reference starts every attempt with a stage at t itself, so a
+        # rejected attempt repeats the start time of the one before it
+        starts = ref_times[::7]
+        rejected = sum(a == b for a, b in zip(starts, starts[1:]))
+        assert rejected >= 1
+        assert (traj.steps, traj.states) == (ref.steps, ref.states)
+        assert len(times) == 6 * traj.steps + 1
+        assert len(ref_times) == 7 * ref.steps
 
 
 class TestTrajectory:
