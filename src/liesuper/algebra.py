@@ -15,9 +15,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactpoly import (
+    Elimination,
     Polynomial,
     VectorField,
-    in_span,
     lie_bracket,
 )
 
@@ -238,14 +238,17 @@ def structure_constants(basis: Sequence[VectorField]) -> StructureTable:
     """Structure constants of a closed basis, or NotClosed if it is not one.
 
     Returns a map from each 1-based pair (a, b) with a < b to the exact
-    coefficient vector of [X_a, X_b] in the basis.
+    coefficient vector of [X_a, X_b] in the basis.  The basis is eliminated
+    once; the brackets are resolved in order, and the first one outside the
+    span raises before any later bracket is computed.
     """
+    span = Elimination([f.slots() for f in basis])
     table: StructureTable = {}
     n = len(basis)
     for a in range(n):
         for b in range(a + 1, n):
             bracket = lie_bracket(basis[a], basis[b])
-            coeffs = in_span(bracket, basis)
+            coeffs = span.solve(bracket.slots())
             if coeffs is None:
                 raise NotClosed(a + 1, b + 1, bracket)
             table[(a + 1, b + 1)] = coeffs
@@ -359,45 +362,6 @@ def verify_paper_table(fields: Sequence[VectorField] | None = None) -> Report:
     return report
 
 
-def _matrix_coefficients(
-    M: Matrix3, basis: Sequence[Matrix3]
-) -> list[Fraction] | None:
-    """Exact coefficients of M in a matrix basis, or None."""
-    cols = len(basis)
-    A = [[basis[i].flat()[s] for i in range(cols)] for s in range(9)]
-    b = M.flat()
-    # Gaussian elimination over Fraction
-    m = 9
-    pivots = []
-    row = 0
-    for col in range(cols):
-        pr = next((r for r in range(row, m) if A[r][col]), None)
-        if pr is None:
-            continue
-        A[row], A[pr] = A[pr], A[row]
-        b[row], b[pr] = b[pr], b[row]
-        inv = 1 / A[row][col]
-        A[row] = [x * inv for x in A[row]]
-        b[row] *= inv
-        for r in range(m):
-            if r != row and A[r][col]:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[row])]
-                b[r] -= f * b[row]
-        pivots.append((row, col))
-        row += 1
-    for r in range(m):
-        if all(x == 0 for x in A[r]) and b[r] != 0:
-            return None
-    coeffs = [Fraction(0)] * cols
-    for r, c in pivots:
-        coeffs[c] = b[r]
-    combo = basis[0].scale(coeffs[0])
-    for ci, Mi in zip(coeffs[1:], basis[1:]):
-        combo = combo + Mi.scale(ci)
-    return coeffs if combo == M else None
-
-
 def verify_isomorphism(
     fields: Sequence[VectorField] | None = None,
     matrices: Sequence[Matrix3] | None = None,
@@ -415,11 +379,9 @@ def verify_isomorphism(
     for i, M in enumerate(mats):
         report.add(f"trace(M{i+1})", 0, M.trace(), M.trace() == 0)
 
-    flat = [M.flat() for M in mats]
-    from .exactpoly import _fraction_free_rank
-
-    rank = _fraction_free_rank([list(r) for r in flat])
-    report.add("rank of {M1..M8}", 8, rank, rank == len(mats))
+    # one elimination of M1..M8 gives their rank and every bracket's coefficients
+    span = Elimination([dict(enumerate(M.flat())) for M in mats])
+    report.add("rank of {M1..M8}", 8, span.rank, span.rank == len(mats))
 
     try:
         vf_table = structure_constants(basis)
@@ -436,7 +398,7 @@ def verify_isomorphism(
     for a in range(n):
         for b in range(a + 1, n):
             mb = matrix_bracket(mats[a], mats[b])
-            mc = _matrix_coefficients(mb, mats)
+            mc = span.solve(dict(enumerate(mb.flat())))
             xc = vf_table[(a + 1, b + 1)]
             ok = mc is not None and list(mc) == list(xc)
             report.add(
@@ -466,18 +428,19 @@ def verify_scheme(witness_depth: int = 6) -> Report:
     not proven; ``witness_depth`` sets how far it goes.
     """
     Y = builtin_fields("riccati-scheme")
+    span = Elimination([y.slots() for y in Y])
     report = Report("quasi-Lie scheme conditions for (W, V), Y1..Y8")
 
     w28 = lie_bracket(Y[1], Y[7])
     report.add("[Y2,Y8]", "0", str(w28), w28.is_zero, note="W is abelian")
 
     for w in (2, 8):
-        c = in_span(Y[w - 1], Y)
+        c = span.solve(Y[w - 1].slots())
         report.add(f"Y{w} in V", "member", "member" if c else "outside", c is not None)
 
     for (w, j), printed in PRINTED_SCHEME_TABLE.items():
         bracket = lie_bracket(Y[w - 1], Y[j - 1])
-        coeffs = in_span(bracket, Y)
+        coeffs = span.solve(bracket.slots())
         ok = coeffs is not None and _coeffs_match(coeffs, printed)
         report.add(
             f"[Y{w},Y{j}]",
@@ -498,8 +461,8 @@ def verify_scheme(witness_depth: int = 6) -> Report:
             str(ad),
             ad == expected,
         )
-        member = in_span(ad, Y) is not None
         if k >= 2:
+            member = span.solve(ad.slots()) is not None
             report.add(
                 f"ad_Y3^{k}(Y6) outside span{{Y1..Y8}}",
                 "not-in-span",

@@ -23,6 +23,7 @@ set them explicitly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -165,9 +166,18 @@ def _build_system(cfg: dict, interval):
     return lift_sode(family, _coeff_exprs(cfg), interval=interval)
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turn an OSError while writing ``path`` into a ConfigError (exit 2)."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
 def _write_report(path: str | None, report_dict: dict, out) -> None:
     if path:
-        with open(path, "w") as fh:
+        with _writing(path), open(path, "w") as fh:
             json.dump(report_dict, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"report written to {path}", file=out)
@@ -205,17 +215,18 @@ def cmd_verify(args) -> int:
 
     out_dir = args.output_dir
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "verify_report.txt"), "w") as fh:
-            fh.write(text + "\n")
-        with open(os.path.join(out_dir, "verify_report.json"), "w") as fh:
-            json.dump(
-                {"passed": passed, "suites": [r.to_dict() for r in reports]},
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-            fh.write("\n")
+        with _writing(out_dir):
+            os.makedirs(out_dir, exist_ok=True)
+            with open(os.path.join(out_dir, "verify_report.txt"), "w") as fh:
+                fh.write(text + "\n")
+            with open(os.path.join(out_dir, "verify_report.json"), "w") as fh:
+                json.dump(
+                    {"passed": passed, "suites": [r.to_dict() for r in reports]},
+                    fh,
+                    indent=2,
+                    sort_keys=True,
+                )
+                fh.write("\n")
     return EXIT_OK if passed else EXIT_VERIFY_FAIL
 
 
@@ -246,7 +257,8 @@ def cmd_solve(args, out=None) -> int:
 
     output = cfg.get("output")
     if output:
-        traj.to_csv(output)
+        with _writing(output):
+            traj.to_csv(output)
         print(f"trajectory written to {output}", file=out)
     else:
         print("t,x,v", file=out)
@@ -304,9 +316,13 @@ def _particular_trajectories(cfg: dict, sys_, t0, grid, tol) -> list[Trajectory]
     if len(inputs) != 4 or not all(isinstance(p, str) for p in inputs):
         raise ConfigError("inputs must name four trajectory CSV files")
     try:
-        return [Trajectory.from_csv(p) for p in inputs]
+        trajs = [Trajectory.from_csv(p) for p in inputs]
     except OSError as exc:
         raise ConfigError(f"cannot read input trajectory: {exc}") from None
+    for path, traj in zip(inputs, trajs):
+        if not len(traj):
+            raise ConfigError(f"input trajectory {path} has no data rows")
+    return trajs
 
 
 def cmd_superpose(args, out=None) -> int:
@@ -350,7 +366,8 @@ def cmd_superpose(args, out=None) -> int:
 
     output = cfg.get("output")
     if output:
-        result.trajectory.to_csv(output)
+        with _writing(output):
+            result.trajectory.to_csv(output)
         print(f"reconstruction written to {output}", file=out)
 
     report = {

@@ -10,6 +10,7 @@ between threads.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -17,6 +18,7 @@ Scalar = Union[int, Fraction]
 
 __all__ = [
     "CoordinateMismatch",
+    "Elimination",
     "Polynomial",
     "RationalFunction",
     "VectorField",
@@ -431,6 +433,14 @@ class VectorField:
     def eval(self, point: Sequence[Scalar]) -> list[Fraction]:
         return [c.eval(point) for c in self.components]
 
+    def slots(self) -> dict[tuple[int, tuple[int, ...]], Fraction]:
+        """The field as a sparse vector: (component, exponents) -> coefficient."""
+        return {
+            (j, exps): c
+            for j, comp in enumerate(self.components)
+            for exps, c in comp.terms.items()
+        }
+
     def __repr__(self) -> str:
         parts = [
             f"({comp}) d/d{name}"
@@ -501,46 +511,120 @@ def derive_along(X: VectorField, F: RationalFunction) -> RationalFunction:
     return RationalFunction(q * X.apply(p) - p * X.apply(q), q * q)
 
 
-def _fraction_free_rank(rows: list[list[Fraction]]) -> int:
-    """Exact rank by Bareiss fraction-free elimination on cleared rows."""
-    if not rows:
-        return 0
-    # clear denominators row by row; rank is invariant under row scaling
-    mat: list[list[int]] = []
-    for row in rows:
-        lcm = 1
-        for x in row:
-            d = x.denominator
-            lcm = lcm * d // _gcd(lcm, d)
-        mat.append([int(x * lcm) for x in row])
-    m, n = len(mat), len(mat[0])
-    rank = 0
-    prev = 1
-    for col in range(n):
-        pivot_row = None
-        for r in range(rank, m):
-            if mat[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        pivot = mat[rank][col]
-        for r in range(rank + 1, m):
-            for c in range(col + 1, n):
-                mat[r][c] = (pivot * mat[r][c] - mat[r][col] * mat[rank][c]) // prev
-            mat[r][col] = 0
-        prev = pivot
-        rank += 1
-        if rank == m:
-            break
-    return rank
+def _cleared(vector) -> tuple[int, dict]:
+    """(L, L * vector) over the integers, L the lcm of the denominators."""
+    scale = 1
+    for x in vector.values():
+        if x:
+            scale = math.lcm(scale, x.denominator)
+    return scale, {
+        s: x.numerator * (scale // x.denominator) for s, x in vector.items() if x
+    }
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a > 0 else -a
+class Elimination:
+    """One exact elimination of a basis of sparse rational vectors.
+
+    A vector is a map from slot to rational (``int`` or ``Fraction``); absent
+    slots are zero.  The basis is eliminated once, in basis order, by Bareiss
+    fraction-free elimination (Bareiss 1968) on integer rows, denominators
+    cleared row by row: a vector becomes a pivot row iff it is independent of
+    the vectors before it.  A target is reduced by replaying the same steps;
+    the multipliers it meets, replayed on the combinations of basis vectors
+    the pivot rows stand for, give its coefficients.  Every Bareiss division
+    is exact (each entry is a minor of the integer matrix augmented by the
+    identity).
+    """
+
+    __slots__ = ("rank", "_basis", "_scales", "_pivots", "_origins", "_combos")
+
+    def __init__(self, basis: Sequence[dict]):
+        self._basis = [dict(v) for v in basis]
+        self._scales: list[int] = []
+        self._pivots: list[tuple[object, dict, int]] = []  # column, row, pivot
+        self._origins: list[tuple[int, list[int]]] = []  # basis index, factors
+        for i, v in enumerate(self._basis):
+            scale, row = _cleared(v)
+            self._scales.append(scale)
+            row, factors, _ = self._reduce(row)
+            if row:
+                col = next(iter(row))
+                self._pivots.append((col, row, row[col]))
+                self._origins.append((i, factors))
+        self.rank = len(self._pivots)
+        # each pivot row as a combination of basis vectors; built by the first
+        # solve, since a rank needs none
+        self._combos: list[list[int]] | None = None
+
+    def _reduce(self, row: dict):
+        """Replay the Bareiss steps on one integer row.
+
+        Returns the residual, the row's entry in each pivot column as it met
+        that pivot, and the last pivot value (1 when there is none).  A
+        target row reduces to nothing iff it lies in the span.
+        """
+        prev = 1
+        factors = []
+        for col, prow, piv in self._pivots:
+            f = row.get(col, 0)
+            factors.append(f)
+            if f:
+                out = {s: piv * x for s, x in row.items()}
+                for s, x in prow.items():
+                    out[s] = out.get(s, 0) - f * x
+                row = {s: x // prev for s, x in out.items() if x}
+            elif piv != prev:
+                row = {s: piv * x // prev for s, x in row.items()}
+            prev = piv
+        return row, factors, prev
+
+    def _combine(self, combo: list[int], factors: list[int]) -> list[int]:
+        """The steps ``_reduce`` took, applied to a combination of basis vectors.
+
+        A row w + sum_j a_j L_j b_j (b_j the basis vectors, L_j their clearing
+        scales) that met ``factors`` leaves as p w + sum_j a'_j L_j b_j, p the
+        last pivot; a' is returned.
+        """
+        prev = 1
+        for (_, _, piv), f, pcombo in zip(self._pivots, factors, self._combos):
+            if f:
+                combo = [(piv * a - f * b) // prev for a, b in zip(combo, pcombo)]
+            elif piv != prev:
+                combo = [piv * a // prev for a in combo]
+            prev = piv
+        return combo
+
+    def solve(self, target: dict) -> list[Fraction] | None:
+        """Exact coefficients c with sum c_i basis_i == target, or None.
+
+        Dependent basis vectors get coefficient 0.  The coefficients are
+        checked to reproduce the target exactly before they are returned.
+        """
+        scale, row = _cleared(target)
+        row, factors, last = self._reduce(row)
+        if row:
+            return None
+        k = len(self._basis)
+        if self._combos is None:
+            self._combos = []
+            for i, pfactors in self._origins:
+                unit = [0] * k
+                unit[i] = 1
+                self._combos.append(self._combine(unit, pfactors))
+        # last * L t + sum_j a_j L_j b_j == 0
+        den = -scale * last
+        combo = self._combine([0] * k, factors)
+        coeffs = [Fraction(a * s, den) for a, s in zip(combo, self._scales)]
+        total: dict = {}
+        for c, v in zip(coeffs, self._basis):
+            if c:
+                for s, x in v.items():
+                    total[s] = total.get(s, 0) + c * x
+        if {s: x for s, x in total.items() if x} != {
+            s: x for s, x in target.items() if x
+        }:
+            return None
+        return coeffs
 
 
 def rank_at(fields: Sequence[VectorField], point: Sequence[Scalar]) -> int:
@@ -555,8 +639,7 @@ def rank_at(fields: Sequence[VectorField], point: Sequence[Scalar]) -> int:
         raise ValueError(
             f"point has {len(point)} entries, expected {len(coords)}"
         )
-    rows = [f.eval(point) for f in fields]
-    return _fraction_free_rank(rows)
+    return Elimination([dict(enumerate(f.eval(point))) for f in fields]).rank
 
 
 def in_span(
@@ -564,70 +647,9 @@ def in_span(
 ) -> list[Fraction] | None:
     """Exact coefficients c with X = sum c_i basis_i, or None if not in span.
 
-    The linear system runs over the union of (component, monomial) slots
-    appearing in X or the basis, and is solved exactly over the rationals.
+    The fields are vectors over their (component, monomial) slots; see
+    :class:`Elimination`.
     """
-    coords = X.coords
     for f in basis:
         _check_coords(X, f)
-    slots: list[tuple[int, tuple[int, ...]]] = []
-    seen = set()
-    for f in list(basis) + [X]:
-        for j, comp in enumerate(f.components):
-            for exps in comp.terms:
-                key = (j, exps)
-                if key not in seen:
-                    seen.add(key)
-                    slots.append(key)
-    if not slots:
-        return [Fraction(0)] * len(basis)  # everything zero
-
-    # rows: one equation per slot;  A c = b
-    k = len(basis)
-    A = [
-        [basis[i].components[j].terms.get(exps, Fraction(0)) for i in range(k)]
-        for (j, exps) in slots
-    ]
-    b = [X.components[j].terms.get(exps, Fraction(0)) for (j, exps) in slots]
-
-    # exact Gaussian elimination with back-substitution
-    m = len(A)
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(k):
-        pr = None
-        for r in range(row, m):
-            if A[r][col]:
-                pr = r
-                break
-        if pr is None:
-            continue
-        A[row], A[pr] = A[pr], A[row]
-        b[row], b[pr] = b[pr], b[row]
-        inv = 1 / A[row][col]
-        A[row] = [x * inv for x in A[row]]
-        b[row] = b[row] * inv
-        for r in range(m):
-            if r != row and A[r][col]:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[row])]
-                b[r] = b[r] - f * b[row]
-        pivots.append((row, col))
-        row += 1
-        if row == m:
-            break
-    # consistency: zero rows of A must have zero rhs
-    for r in range(m):
-        if all(x == 0 for x in A[r]) and b[r] != 0:
-            return None
-    coeffs = [Fraction(0)] * k
-    for r, c in pivots:
-        coeffs[c] = b[r]
-    # free columns default to zero; verify the candidate reproduces X exactly
-    combo = VectorField.zero(coords)
-    for ci, f in zip(coeffs, basis):
-        if ci:
-            combo = combo + f.scale(ci)
-    if combo == X:
-        return coeffs
-    return None
+    return Elimination([f.slots() for f in basis]).solve(X.slots())

@@ -171,11 +171,16 @@ def superpose_riccati(
     if len(trajectories) != 4:
         raise ValueError("exactly four particular trajectories are required")
     grid = trajectories[0].times
+    for traj in trajectories[1:]:
+        if traj.times != grid:
+            raise ValueError("all four trajectories must share one time grid")
+    # one sqrt(a3(t)) per grid time serves the four transforms and the inverse
+    betas = [c.beta(t) for t in grid]
 
     transformed = [
         Trajectory(
-            list(traj.times),
-            [transform_state(c, t, s) for t, s in zip(traj.times, traj.states)],
+            list(grid),
+            [(x, v / beta) for (x, v), beta in zip(traj.states, betas)],
             tol=traj.tol,
             status=traj.status,
         )
@@ -197,10 +202,7 @@ def superpose_riccati(
 
     back = Trajectory(
         list(result.trajectory.times),
-        [
-            untransform_state(c, t, s)
-            for t, s in zip(result.trajectory.times, result.trajectory.states)
-        ],
+        [(x, v * beta) for (x, v), beta in zip(result.trajectory.states, betas)],
         tol=result.trajectory.tol,
         status="reconstructed",
     )

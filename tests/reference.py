@@ -6,9 +6,15 @@ Dormand-Prince 5(4) loop before FSAL: seven right-hand-side evaluations per
 attempted step, stage sums accumulated left to right from 0 (what the builtin
 ``sum`` does on Python 3.11; later versions compensate float sums, so the
 accumulation is spelled out here).
+
+``in_span``, ``matrix_coefficients`` and ``fraction_free_rank`` are the three
+exact eliminations that ``exactpoly.Elimination`` replaced: Gauss-Jordan over
+``Fraction`` rebuilt for every target, and Bareiss elimination for the rank.
+``ReferenceElimination`` answers the ``Elimination`` interface through them.
 """
 
 import math
+from fractions import Fraction
 
 from liesuper.coeffexpr import (
     Add,
@@ -25,6 +31,8 @@ from liesuper.coeffexpr import (
     Sub,
     TimeVar,
 )
+from liesuper.algebra import Matrix3
+from liesuper.exactpoly import Polynomial, VectorField
 from liesuper.odeint import (
     STEP_UNDERFLOW_FACTOR,
     BlowUp,
@@ -177,3 +185,187 @@ def dopri5_reference(sys, ic, t0, grid, tol):
         out_states.append(y)
 
     return Trajectory(list(grid), out_states, tol=tol, steps=steps)
+
+
+def fraction_free_rank(rows):
+    """Exact rank by Bareiss fraction-free elimination on cleared rows."""
+    if not rows:
+        return 0
+    # clear denominators row by row; rank is invariant under row scaling
+    mat = []
+    for row in rows:
+        lcm = 1
+        for x in row:
+            d = x.denominator
+            lcm = lcm * d // math.gcd(lcm, d)
+        mat.append([int(x * lcm) for x in row])
+    m, n = len(mat), len(mat[0])
+    rank = 0
+    prev = 1
+    for col in range(n):
+        pivot_row = None
+        for r in range(rank, m):
+            if mat[r][col]:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
+        pivot = mat[rank][col]
+        for r in range(rank + 1, m):
+            for c in range(col + 1, n):
+                mat[r][c] = (pivot * mat[r][c] - mat[r][col] * mat[rank][c]) // prev
+            mat[r][col] = 0
+        prev = pivot
+        rank += 1
+        if rank == m:
+            break
+    return rank
+
+
+def in_span(X, basis):
+    """Exact coefficients c with X = sum c_i basis_i, or None if not in span."""
+    coords = X.coords
+    slots = []
+    seen = set()
+    for f in list(basis) + [X]:
+        for j, comp in enumerate(f.components):
+            for exps in comp.terms:
+                key = (j, exps)
+                if key not in seen:
+                    seen.add(key)
+                    slots.append(key)
+    if not slots:
+        return [Fraction(0)] * len(basis)  # everything zero
+
+    # rows: one equation per slot;  A c = b
+    k = len(basis)
+    A = [
+        [basis[i].components[j].terms.get(exps, Fraction(0)) for i in range(k)]
+        for (j, exps) in slots
+    ]
+    b = [X.components[j].terms.get(exps, Fraction(0)) for (j, exps) in slots]
+
+    # exact Gaussian elimination with back-substitution
+    m = len(A)
+    pivots = []
+    row = 0
+    for col in range(k):
+        pr = None
+        for r in range(row, m):
+            if A[r][col]:
+                pr = r
+                break
+        if pr is None:
+            continue
+        A[row], A[pr] = A[pr], A[row]
+        b[row], b[pr] = b[pr], b[row]
+        inv = 1 / A[row][col]
+        A[row] = [x * inv for x in A[row]]
+        b[row] = b[row] * inv
+        for r in range(m):
+            if r != row and A[r][col]:
+                f = A[r][col]
+                A[r] = [x - f * y for x, y in zip(A[r], A[row])]
+                b[r] = b[r] - f * b[row]
+        pivots.append((row, col))
+        row += 1
+        if row == m:
+            break
+    # consistency: zero rows of A must have zero rhs
+    for r in range(m):
+        if all(x == 0 for x in A[r]) and b[r] != 0:
+            return None
+    coeffs = [Fraction(0)] * k
+    for r, c in pivots:
+        coeffs[c] = b[r]
+    # free columns default to zero; verify the candidate reproduces X exactly
+    combo = VectorField.zero(coords)
+    for ci, f in zip(coeffs, basis):
+        if ci:
+            combo = combo + f.scale(ci)
+    if combo == X:
+        return coeffs
+    return None
+
+
+def matrix_coefficients(M, basis):
+    """Exact coefficients of M in a matrix basis, or None."""
+    cols = len(basis)
+    A = [[basis[i].flat()[s] for i in range(cols)] for s in range(9)]
+    b = M.flat()
+    # Gaussian elimination over Fraction
+    m = 9
+    pivots = []
+    row = 0
+    for col in range(cols):
+        pr = next((r for r in range(row, m) if A[r][col]), None)
+        if pr is None:
+            continue
+        A[row], A[pr] = A[pr], A[row]
+        b[row], b[pr] = b[pr], b[row]
+        inv = 1 / A[row][col]
+        A[row] = [x * inv for x in A[row]]
+        b[row] *= inv
+        for r in range(m):
+            if r != row and A[r][col]:
+                f = A[r][col]
+                A[r] = [x - f * y for x, y in zip(A[r], A[row])]
+                b[r] -= f * b[row]
+        pivots.append((row, col))
+        row += 1
+    for r in range(m):
+        if all(x == 0 for x in A[r]) and b[r] != 0:
+            return None
+    coeffs = [Fraction(0)] * cols
+    for r, c in pivots:
+        coeffs[c] = b[r]
+    combo = basis[0].scale(coeffs[0])
+    for ci, Mi in zip(coeffs[1:], basis[1:]):
+        combo = combo + Mi.scale(ci)
+    return coeffs if combo == M else None
+
+
+def _as_matrix(vector):
+    """A vector over slots 0..8 as the Matrix3 with those flat entries."""
+    flat = [vector.get(s, 0) for s in range(9)]
+    return Matrix3([flat[0:3], flat[3:6], flat[6:9]])
+
+
+def _as_field(vector, slots):
+    """A vector over arbitrary slots as a field with one monomial per slot.
+
+    The field lives on one coordinate and slot number i becomes the monomial
+    s^i, so ``in_span`` sees the same linear system in another slot order.
+    """
+    terms = {(slots.index(s),): x for s, x in vector.items()}
+    return VectorField([Polynomial(("s",), terms)], ("s",))
+
+
+class ReferenceElimination:
+    """The ``exactpoly.Elimination`` interface answered by the old routines.
+
+    The rank comes from ``fraction_free_rank`` on dense rows.  A basis of at
+    least one vector over the matrix slots 0..8 is solved by
+    ``matrix_coefficients``; any other basis by ``in_span``.
+    """
+
+    def __init__(self, basis):
+        self.basis = [dict(v) for v in basis]
+        self.slots = []
+        for v in self.basis:
+            self.slots += [s for s in v if s not in self.slots]
+        self.rank = fraction_free_rank(
+            [[Fraction(v.get(s, 0)) for s in self.slots] for v in self.basis]
+        )
+
+    def solve(self, target):
+        keys = set(self.slots) | set(target)
+        if self.basis and keys <= set(range(9)):
+            return matrix_coefficients(
+                _as_matrix(target), [_as_matrix(v) for v in self.basis]
+            )
+        slots = self.slots + [s for s in target if s not in self.slots]
+        return in_span(
+            _as_field(target, slots), [_as_field(v, slots) for v in self.basis]
+        )

@@ -16,7 +16,11 @@ from liesuper.algebra import (
     verify_paper_table,
     verify_scheme,
 )
+from liesuper import algebra, exactpoly
+from liesuper.cli import _mutated_sl3_fields, main
 from liesuper.exactpoly import Polynomial, VectorField, lie_bracket
+
+import reference
 
 
 class TestStructureConstants:
@@ -35,6 +39,21 @@ class TestStructureConstants:
         bad = VectorField([Polynomial.zero(coords), x**4], coords)
         with pytest.raises(NotClosed):
             structure_constants(fields + [bad])
+
+    def test_first_bracket_outside_span_stops_the_scan(self, monkeypatch):
+        # the basis is eliminated once, but brackets are still resolved one
+        # at a time: the mutated X5 breaks [X1,X4] and nothing after it runs
+        pairs = []
+
+        def counting_bracket(X, Y):
+            pairs.append((X, Y))
+            return lie_bracket(X, Y)
+
+        monkeypatch.setattr(algebra, "lie_bracket", counting_bracket)
+        with pytest.raises(NotClosed) as exc:
+            structure_constants(_mutated_sl3_fields())
+        assert exc.value.pair == (1, 4)
+        assert len(pairs) == 3
 
 
 class TestReports:
@@ -88,3 +107,23 @@ class TestMatrices:
         M = Matrix3([[1, 0, 0], [0, -1, 0], [0, 0, 0]])
         with pytest.raises(AttributeError):
             M.rows = ()
+
+
+class TestAgainstReferenceEliminations:
+    @pytest.mark.parametrize("flags", [
+        [], ["--all-fields"], ["--mutate-x5"], ["--all-fields", "--mutate-x5"],
+    ])
+    def test_verify_output_unchanged(self, tmp_path, capsys, monkeypatch, flags):
+        """Every verify output is the same when the old eliminations solve."""
+
+        def run(name):
+            out_dir = tmp_path / name
+            code = main(["verify", *flags, "--output-dir", str(out_dir)])
+            files = {f.name: f.read_bytes() for f in sorted(out_dir.iterdir())}
+            return code, capsys.readouterr().out, files
+
+        fast = run("fast")
+        monkeypatch.setattr(exactpoly, "Elimination", reference.ReferenceElimination)
+        monkeypatch.setattr(algebra, "Elimination", reference.ReferenceElimination)
+        assert run("reference") == fast
+        assert set(fast[2]) == {"verify_report.json", "verify_report.txt"}

@@ -41,6 +41,14 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "[FAIL]" in out
 
+    def test_unwritable_output_dir_exit2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["verify", "--output-dir", str(blocker / "reports")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cannot write" in err
+
 
 class TestSolve:
     def test_closed_form(self, tmp_path, capsys):
@@ -124,6 +132,14 @@ class TestSolve:
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and key in err
+
+    @pytest.mark.parametrize("key", ["output", "report"])
+    def test_unwritable_output_exit2(self, tmp_path, capsys, key):
+        cfg = dict(SOLVE_BASE, **{key: str(tmp_path / "missing-dir" / "x")})
+        code = main(["solve", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "missing-dir" in err
 
     def test_rhs_overflow_exit4(self, tmp_path, capsys):
         cfg = dict(SOLVE_BASE, initial=[1e200, 0])
@@ -257,6 +273,35 @@ class TestSuperpose:
         code = main(["superpose", "--config", write_config(tmp_path, "c.json", cfg)])
         assert code == 0
         assert (tmp_path / "rec.csv").exists()
+
+    @pytest.mark.parametrize("fit", [{"constants": [0.25, 0.65]},
+                                     {"target": [0.1, 0.2]}])
+    def test_header_only_inputs_exit2(self, tmp_path, capsys, fit):
+        paths = []
+        for i in range(4):
+            path = tmp_path / f"p{i}.csv"
+            path.write_text("t,x,v\n")
+            paths.append(str(path))
+        cfg = dict({"family": "mdpi", "interval": [0, 1], "inputs": paths}, **fit)
+        code = main(["superpose", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and paths[0] in err
+
+    @pytest.mark.parametrize("key", ["output", "report"])
+    def test_unwritable_output_exit2(self, tmp_path, capsys, key):
+        cfg = {
+            "family": "mdpi",
+            "interval": [0, 1],
+            "points": 11,
+            "initial_conditions": [[0.1, 0.2], [0.3, 0.1], [0.3, -0.1], [-0.2, 0.4]],
+            "constants": [0.3, 0.7],
+            key: str(tmp_path / "missing-dir" / "x"),
+        }
+        code = main(["superpose", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "missing-dir" in err
 
     def test_duplicate_ic_exit5(self, tmp_path, capsys):
         cfg = {

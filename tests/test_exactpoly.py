@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from liesuper.exactpoly import (
     CoordinateMismatch,
+    Elimination,
     Polynomial,
     RationalFunction,
     VectorField,
@@ -17,7 +18,9 @@ from liesuper.exactpoly import (
     prolonged_coords,
     rank_at,
 )
-from liesuper.algebra import builtin_fields
+from liesuper.algebra import Matrix3, builtin_fields
+
+import reference
 
 COORDS = ("x", "v")
 
@@ -203,6 +206,115 @@ class TestRankAndSpan:
         x = Polynomial.variable("x", COORDS)
         outsider = VectorField([Polynomial.zero(COORDS), x**4], COORDS)
         assert in_span(outsider, basis) is None
+
+
+# sparse rational vectors over slots 0..8 (the matrix slots); zero entries are
+# kept so that absent and explicit zero slots are both exercised
+slot_vectors = st.dictionaries(
+    st.integers(min_value=0, max_value=8),
+    st.one_of(st.just(Fraction(0)), rationals),
+    max_size=6,
+)
+
+
+def _combine(cs, vectors):
+    out = {}
+    for c, v in zip(cs, vectors):
+        for s, x in v.items():
+            out[s] = out.get(s, 0) + c * x
+    return out
+
+
+def _combine_fields(cs, basis):
+    out = VectorField.zero(COORDS)
+    for c, f in zip(cs, basis):
+        out = out + f.scale(c)
+    return out
+
+
+@st.composite
+def dependent_bases(draw, vectors, zero, combine):
+    """Up to six vectors; some are zero, some combinations of earlier ones."""
+    basis = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "combination"]))
+        if kind == "zero":
+            basis.append(zero)
+        elif kind == "combination" and basis:
+            basis.append(combine([draw(rationals) for _ in basis], basis))
+        else:
+            basis.append(draw(vectors))
+    return basis
+
+
+def _dense(vectors):
+    slots = sorted({s for v in vectors for s in v})
+    return [[Fraction(v.get(s, 0)) for s in slots] for v in vectors]
+
+
+def _as_vector_field(vector):
+    """Slot s of a vector as the x^(s//2) v^(s%2) term of the d/dx part."""
+    d = {(s // 2, s % 2): x for s, x in vector.items()}
+    return VectorField([Polynomial(COORDS, d), Polynomial.zero(COORDS)], COORDS)
+
+
+class TestElimination:
+    """One Bareiss elimination against the three eliminations it replaced."""
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_rank_and_coefficients_match_references(self, data):
+        basis = data.draw(dependent_bases(slot_vectors, {}, _combine))
+        # target slots 9..11 lie outside every basis vector
+        wide = st.dictionaries(st.integers(min_value=0, max_value=11), rationals,
+                               max_size=6)
+        target = data.draw(wide)
+        if basis and data.draw(st.booleans()):
+            target = _combine([data.draw(rationals) for _ in basis], basis)
+        span = Elimination(basis)
+        assert span.rank == reference.fraction_free_rank(_dense(basis))
+        coeffs = span.solve(target)
+        fields = [_as_vector_field(v) for v in basis]
+        assert coeffs == reference.in_span(_as_vector_field(target), fields)
+        if basis and all(s < 9 for s in target):
+            mats = [Matrix3([[v.get(3 * i + j, 0) for j in range(3)]
+                             for i in range(3)]) for v in basis + [target]]
+            assert coeffs == reference.matrix_coefficients(mats[-1], mats[:-1])
+        if coeffs is not None:
+            assert all(isinstance(c, Fraction) for c in coeffs)
+
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_in_span_matches_reference_on_fields(self, data):
+        zero = VectorField.zero(COORDS)
+        basis = data.draw(dependent_bases(fields(), zero, _combine_fields))
+        X = data.draw(st.one_of(fields(), st.just(zero)))
+        if basis and data.draw(st.booleans()):
+            X = _combine_fields([data.draw(rationals) for _ in basis], basis)
+        assert in_span(X, basis) == reference.in_span(X, basis)
+
+    @settings(max_examples=60)
+    @given(st.lists(fields(), max_size=5), points)
+    def test_rank_at_matches_reference(self, basis, pt):
+        rows = [f.eval(pt) for f in basis]
+        assert rank_at(basis, pt) == reference.fraction_free_rank(rows)
+
+    def test_solves_many_targets_against_one_basis(self):
+        basis = [{0: 2, 1: Fraction(1, 3)}, {0: 4, 1: Fraction(2, 3)}, {}, {2: -1}]
+        span = Elimination(basis)
+        assert span.rank == 2
+        # the dependent second vector and the zero vector get coefficient 0
+        assert span.solve({0: 1, 1: Fraction(1, 6), 2: 5}) == [
+            Fraction(1, 2), 0, 0, -5]
+        assert span.solve({0: 1}) is None
+        assert span.solve({7: 1}) is None
+        assert span.solve({}) == [0, 0, 0, 0]
+
+    def test_empty_basis(self):
+        span = Elimination([])
+        assert span.rank == 0
+        assert span.solve({}) == []
+        assert span.solve({0: Fraction(1, 2)}) is None
 
 
 class TestDeriveAlong:

@@ -2,8 +2,10 @@
 
 import pytest
 
-from liesuper.odeint import ConstraintViolation, integrate
+from liesuper.coeffexpr import DomainError
+from liesuper.odeint import ConstraintViolation, Trajectory, integrate
 from liesuper.riccati import (
+    RiccatiCoeffs,
     build_riccati,
     superpose_riccati,
     transform_state,
@@ -106,3 +108,47 @@ class TestSuperposeRiccati:
         assert via_riccati.trajectory.states == direct.trajectory.states
         assert via_riccati.lam1 == direct.lam1
         assert via_riccati.lam2 == direct.lam2
+
+    def test_one_beta_per_grid_time_same_bits(self, monkeypatch):
+        c = coeffs()
+        sys = c.system()
+        g = grid(41)
+        ics = sample_generic_ics(21, 5)
+        trajs = [integrate(sys, ic, 0.0, g, 1e-10) for ic in ics]
+        target = trajs[4].states[0]
+        # the state-by-state path: four transforms and one inverse per time
+        moved = [
+            Trajectory(list(g), [transform_state(c, t, s)
+                                 for t, s in zip(g, tr.states)], tol=tr.tol)
+            for tr in trajs[:4]
+        ]
+        rec = reconstruct(SuperposeProblem(
+            moved, target=transform_state(c, 0.0, target)))
+        expected = [untransform_state(c, t, s)
+                    for t, s in zip(g, rec.trajectory.states)]
+
+        calls = []
+        beta = RiccatiCoeffs.beta
+
+        def counting_beta(self, t):
+            calls.append(t)
+            return beta(self, t)
+
+        monkeypatch.setattr(RiccatiCoeffs, "beta", counting_beta)
+        result = superpose_riccati(c, trajs[:4], target=target)
+        assert result.trajectory.states == expected
+        assert (result.lam1, result.lam2) == (rec.lam1, rec.lam2)
+        assert calls == list(g) + [0.0]  # one per grid time, one for the target
+
+    def test_grid_mismatch_before_domain_error(self):
+        # a3 = 1 - t^2/4 is positive on the interval but zero at t = 2 and
+        # negative beyond, on the trajectories' longer grid
+        c = build_riccati("0", "0", "0", "1 - t^2/4", interval=(0.0, 1.0))
+        g = [0.5 * i for i in range(7)]
+        trajs = [Trajectory(list(g), [(0.1 * k, 0.2)] * len(g)) for k in range(4)]
+        with pytest.raises(DomainError) as exc:
+            superpose_riccati(c, trajs, constants=(0.3, 0.7))
+        assert exc.value.t == 2.0
+        trajs[3] = Trajectory(g[:-1], [(0.3, 0.2)] * (len(g) - 1))
+        with pytest.raises(ValueError, match="share one time grid"):
+            superpose_riccati(c, trajs, constants=(0.3, 0.7))
