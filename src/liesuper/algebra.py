@@ -131,10 +131,6 @@ class Matrix3:
     def trace(self) -> Fraction:
         return sum(self.rows[i][i] for i in range(3))
 
-    @property
-    def is_zero(self) -> bool:
-        return all(a == 0 for r in self.rows for a in r)
-
     def flat(self) -> list[Fraction]:
         return [a for r in self.rows for a in r]
 
@@ -220,6 +216,9 @@ PRINTED_SCHEME_TABLE: dict[tuple[int, int], dict[int, Fraction]] = {
     (8, 7): {7: F(3)},
     (8, 8): {},
 }
+
+# ad_Y3^k(Y6) is checked for k = 1..WITNESS_DEPTH
+WITNESS_DEPTH = 6
 
 
 class NotClosed(ValueError):
@@ -418,14 +417,14 @@ def ad_power(Z: VectorField, X: VectorField, k: int) -> VectorField:
     return out
 
 
-def verify_scheme(witness_depth: int = 6) -> Report:
+def verify_scheme() -> Report:
     """Machine-check the quasi-Lie scheme conditions for (W, V) on Y1..Y8.
 
     Checks that W = <Y2, Y8> is abelian and contained in V, reproduces the
     printed 16-entry bracket table for [W, V], and exhibits the non-closure
     witness ad_{Y3}^k(Y6) = (-x)^{k+2} d/dv, which leaves span{Y1..Y8} for
     every k >= 2.  Non-closure is demonstrated by this finite witness list,
-    not proven; ``witness_depth`` sets how far it goes.
+    not proven; WITNESS_DEPTH sets how far it goes.
     """
     Y = builtin_fields("riccati-scheme")
     span = Elimination([y.slots() for y in Y])
@@ -452,7 +451,7 @@ def verify_scheme(witness_depth: int = 6) -> Report:
     coords = XV_COORDS
     x = Polynomial.variable("x", coords)
     zero = Polynomial.zero(coords)
-    for k in range(1, witness_depth + 1):
+    for k in range(1, WITNESS_DEPTH + 1):
         ad = ad_power(Y[2], Y[5], k)
         expected = VectorField([zero, ((-1) ** k) * x ** (k + 2)], coords)
         report.add(

@@ -38,7 +38,7 @@ from .algebra import (
     verify_scheme,
 )
 from .coeffexpr import DomainError, ParseError
-from .exactpoly import VectorField, prolong, rank_at
+from .exactpoly import Polynomial, VectorField, prolong, rank_at
 from .odeint import (
     FAMILIES,
     BlowUp,
@@ -49,7 +49,7 @@ from .odeint import (
     lift_sode,
     residual,
 )
-from .riccati import build_riccati, superpose_riccati
+from .riccati import RiccatiCoeffs, superpose_riccati
 from .superpose import (
     EPS_GEN,
     Degenerate,
@@ -192,8 +192,6 @@ def _mutated_sl3_fields() -> list[VectorField]:
     fields = builtin_fields("sl3-family")
     x5 = fields[4]
     coords = x5.coords
-    from .exactpoly import Polynomial
-
     bump = Polynomial(coords, {(1, 0): Fraction(1)})  # add x to the d/dx part
     fields[4] = VectorField([x5.components[0] + bump, x5.components[1]], coords)
     return fields
@@ -331,7 +329,6 @@ def cmd_superpose(args, out=None) -> int:
     t0, t1, grid = _grid(cfg)
     tol = float(cfg.get("tol", _default_tol()))
     eps_gen = float(cfg.get("eps_gen", _default_eps_gen()))
-    family = _require(cfg, "family")
     sys_ = _build_system(cfg, (t0, t1))
 
     constants = cfg.get("constants")
@@ -347,12 +344,8 @@ def cmd_superpose(args, out=None) -> int:
 
     fit_time = cfg.get("fit_time")
 
-    if family == "riccati":
-        rc = build_riccati(
-            *(cfg.get("coefficients", {}).get(k, 1 if k == "a3" else 0)
-              for k in ("a0", "a1", "a2", "a3")),
-            interval=(t0, t1),
-        )
+    if sys_.family == "riccati":
+        rc = RiccatiCoeffs(**sys_.coeffs, interval=(t0, t1))
         result = superpose_riccati(
             rc, trajs, constants=constants, target=target,
             fit_time=fit_time, eps_gen=eps_gen,
@@ -372,12 +365,10 @@ def cmd_superpose(args, out=None) -> int:
 
     report = {
         "command": "superpose",
-        "family": family,
+        "family": sys_.family,
         "tol": tol,
         "eps_gen": eps_gen,
-        "lam1": result.lam1,
-        "lam2": result.lam2,
-        "min_denominator": result.min_denominator,
+        **result.to_dict(),
         "genericity_product_at_start": genericity_product(
             [traj.states[0] for traj in trajs]
         ),

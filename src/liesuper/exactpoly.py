@@ -224,17 +224,6 @@ class Polynomial:
             total += v
         return total
 
-    def eval_float(self, point: Sequence[float]) -> float:
-        """Evaluate in double precision (for numeric consumers)."""
-        total = 0.0
-        for exps, c in self.terms.items():
-            v = float(c)
-            for base, k in zip(point, exps):
-                if k:
-                    v *= base**k
-            total += v
-        return total
-
     # -- queries -----------------------------------------------------------
 
     @property
@@ -319,35 +308,6 @@ class RationalFunction:
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "RationalFunction":
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction(self.num.scale(other), self.den)
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return RationalFunction(self.num * other.den, self.den * other.num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction):

@@ -44,6 +44,9 @@ FAMILIES = ("mdpi", "exam2", "general", "riccati")
 # threshold is our own convention
 STEP_UNDERFLOW_FACTOR = 1e-14
 
+# a3 > 0 is checked at the A3_PANELS + 1 ends of equal panels of the window
+A3_PANELS = 64
+
 
 class ConstraintViolation(ValueError):
     """A coefficient constraint failed (e.g. a3(0) != 1 or a3 <= 0)."""
@@ -82,7 +85,6 @@ class FirstOrderSystem:
     family: str
     rhs: Callable[[float, float, float], tuple[float, float]]
     coeffs: dict[str, CoeffExpr] = field(default_factory=dict)
-    dim: int = 2
 
     def acceleration(self, t: float, x: float, v: float) -> float:
         return self.rhs(t, x, v)[1]
@@ -110,12 +112,12 @@ def riccati_damping(
     return b0, b1
 
 
-def _check_riccati_constraints(a3: CoeffExpr, interval, samples: int = 64):
+def _check_riccati_constraints(a3: CoeffExpr, interval):
     if abs(a3.eval(0.0) - 1.0) > 1e-12:
         raise ConstraintViolation("a3(0) = 1", 0.0)
     t0, t1 = interval
-    for i in range(samples + 1):
-        t = t0 + (t1 - t0) * i / samples
+    for i in range(A3_PANELS + 1):
+        t = t0 + (t1 - t0) * i / A3_PANELS
         if a3.eval(t) <= 0.0:
             raise ConstraintViolation("a3(t) > 0", t)
 
@@ -238,15 +240,25 @@ class Trajectory:
 
     @classmethod
     def from_csv(cls, path) -> "Trajectory":
+        """Read a t,x,v CSV; a bad row raises ValueError naming file and line."""
         times, states = [], []
         with open(path) as fh:
             header = fh.readline().strip()
             if header != "t,x,v":
                 raise ValueError(f"unexpected CSV header {header!r} in {path}")
-            for line in fh:
+            for lineno, line in enumerate(fh, 2):
                 if not line.strip():
                     continue
-                t, x, v = (float(part) for part in line.split(","))
+                try:
+                    t, x, v = map(float, line.strip().split(","))
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {lineno}: {exc}") from None
+                if not all(map(math.isfinite, (t, x, v))):
+                    raise ValueError(f"{path}, line {lineno}: non-finite value")
+                if times and not t > times[-1]:
+                    raise ValueError(
+                        f"{path}, line {lineno}: times must be strictly increasing"
+                    )
                 times.append(t)
                 states.append((x, v))
         return cls(times, states)

@@ -31,6 +31,7 @@ from .superpose import (
     ReconstructionResult,
     State,
     SuperposeProblem,
+    _check_trajectories,
     reconstruct,
 )
 
@@ -80,10 +81,7 @@ def build_riccati(a0, a1, a2, a3, interval: tuple[float, float]) -> RiccatiCoeff
     sys = lift_sode(
         "riccati", {"a0": a0, "a1": a1, "a2": a2, "a3": a3}, interval=interval
     )
-    c = sys.coeffs
-    return RiccatiCoeffs(
-        c["a0"], c["a1"], c["a2"], c["a3"], c["b0"], c["b1"], tuple(interval)
-    )
+    return RiccatiCoeffs(**sys.coeffs, interval=tuple(interval))
 
 
 def transform_state(c: RiccatiCoeffs, t: float, state: State) -> State:
@@ -133,13 +131,12 @@ def transformed_rhs_check(
         _, vdot = sys.rhs(t, xp, v)
         # chain rule: d(v/beta)/dt = vdot/beta - v * beta'/beta^2
         pushed = (v, vdot / beta - v * beta_dot.eval(t) / beta**2)
-        a3v = math.sqrt(c.a3.eval(t))
         printed = (
-            a3v * vp,
-            -c.a0.eval(t) / a3v
-            - a3v * (3 * vp * xp + xp**3)
-            - c.a1.eval(t) * xp / a3v
-            - c.a2.eval(t) * (vp + xp**2) / a3v,
+            beta * vp,
+            -c.a0.eval(t) / beta
+            - beta * (3 * vp * xp + xp**3)
+            - c.a1.eval(t) * xp / beta
+            - c.a2.eval(t) * (vp + xp**2) / beta,
         )
         disc = max(abs(pushed[0] - printed[0]), abs(pushed[1] - printed[1]))
         worst = max(worst, disc)
@@ -168,12 +165,8 @@ def superpose_riccati(
     time-independent rule, and the velocity row is mapped back.  With a3 = 1
     the output is bit-identical to :func:`liesuper.superpose.reconstruct`.
     """
-    if len(trajectories) != 4:
-        raise ValueError("exactly four particular trajectories are required")
+    _check_trajectories(trajectories)
     grid = trajectories[0].times
-    for traj in trajectories[1:]:
-        if traj.times != grid:
-            raise ValueError("all four trajectories must share one time grid")
     # one sqrt(a3(t)) per grid time serves the four transforms and the inverse
     betas = [c.beta(t) for t in grid]
 

@@ -37,7 +37,6 @@ __all__ = [
     "SuperposeProblem",
     "ReconstructionResult",
     "reconstruct",
-    "f_abc_polynomial",
     "LAMBDA_SLOTS",
     "lambda_rational_functions",
     "verify_lambda_annihilation",
@@ -62,7 +61,11 @@ class Degenerate(ArithmeticError):
 
 
 def f_abc(sa: State, sb: State, sc: State) -> float:
-    """F(a,b,c) of three slot states; totally antisymmetric."""
+    """F(a,b,c) of three slot states; totally antisymmetric.
+
+    Uses only + - *, so the exact side evaluates this same function on
+    polynomial slot variables.
+    """
     xa, va = sa
     xb, vb = sb
     xc, vc = sc
@@ -100,26 +103,45 @@ def _guard(which: str, den: float, scale: float, eps: float, t: float | None):
         raise Degenerate(which, den, t)
 
 
+# Lambda1 = F431*F210/(F421*F310) and Lambda2 = F431*F420/(F421*F430) as
+# ((numerator triples), (denominator triples)) of F_abc slot indices
+LAMBDA_SLOTS = (
+    (((4, 3, 1), (2, 1, 0)), ((4, 2, 1), (3, 1, 0))),
+    (((4, 3, 1), (4, 2, 0)), ((4, 2, 1), (4, 3, 0))),
+)
+# built once: the six distinct triples and the guard name of each denominator
+_LAMBDA_TRIPLES = tuple(
+    dict.fromkeys(abc for num, den in LAMBDA_SLOTS for abc in num + den)
+)
+_LAMBDA_GUARDS = tuple(
+    ("F%d%d%d*F%d%d%d" % (den[0] + den[1]), num, den) for num, den in LAMBDA_SLOTS
+)
+
+
+def _lambda_f(s: Sequence) -> dict:
+    """The six distinct F_abc of LAMBDA_SLOTS over five slot values.
+
+    The slots may be float states or exact polynomial slot variables.
+    """
+    return {(a, b, c): f_abc(s[a], s[b], s[c]) for a, b, c in _LAMBDA_TRIPLES}
+
+
 def lambda_integrals(
     p: Sequence[State], eps_gen: float = EPS_GEN, t: float | None = None
 ) -> tuple[float, float]:
     """The two first integrals of a 5-slot tuple (slot 0 first).
 
-    Lambda1 = F431*F210/(F421*F310) and Lambda2 = F431*F420/(F421*F430).
-    Raises Degenerate naming the vanishing denominator.
+    Lambda1 = F431*F210/(F421*F310) and Lambda2 = F431*F420/(F421*F430),
+    read from LAMBDA_SLOTS.  Raises Degenerate naming the vanishing
+    denominator.
     """
-    s0, s1, s2, s3, s4 = p
-    F431 = f_abc(s4, s3, s1)
-    F421 = f_abc(s4, s2, s1)
-    F210 = f_abc(s2, s1, s0)
-    F310 = f_abc(s3, s1, s0)
-    F420 = f_abc(s4, s2, s0)
-    F430 = f_abc(s4, s3, s0)
-    den1 = F421 * F310
-    den2 = F421 * F430
-    _guard("F421*F310", den1, abs(F431 * F210), eps_gen, t)
-    _guard("F421*F430", den2, abs(F431 * F420), eps_gen, t)
-    return F431 * F210 / den1, F431 * F420 / den2
+    F = _lambda_f(p)
+    lams = []
+    for which, (n1, n2), (d1, d2) in _LAMBDA_GUARDS:
+        num, den = F[n1] * F[n2], F[d1] * F[d2]
+        _guard(which, den, abs(num), eps_gen, t)
+        lams.append(num / den)
+    return tuple(lams)
 
 
 def _pivots(s: Sequence[State]) -> tuple[float, float]:
@@ -201,6 +223,16 @@ def fit_constants(
     return lambda_integrals([target, *s], eps_gen=eps_gen, t=t)
 
 
+def _check_trajectories(trajectories: Sequence[Trajectory]) -> None:
+    """Four particular trajectories on one time grid; else ValueError."""
+    if len(trajectories) != 4:
+        raise ValueError("exactly four particular trajectories are required")
+    grid = trajectories[0].times
+    for traj in trajectories[1:]:
+        if traj.times != grid:
+            raise ValueError("all four trajectories must share one time grid")
+
+
 @dataclass
 class SuperposeProblem:
     """Four particular trajectories plus either constants or a target state.
@@ -217,12 +249,7 @@ class SuperposeProblem:
     eps_gen: float = EPS_GEN
 
     def __post_init__(self):
-        if len(self.trajectories) != 4:
-            raise ValueError("exactly four particular trajectories are required")
-        grid = self.trajectories[0].times
-        for traj in self.trajectories[1:]:
-            if traj.times != grid:
-                raise ValueError("all four trajectories must share one time grid")
+        _check_trajectories(self.trajectories)
         if (self.constants is None) == (self.target is None):
             raise ValueError("give either constants or a target state, not both")
 
@@ -297,35 +324,10 @@ def _slot_vars(coords, a: int) -> tuple[Polynomial, Polynomial]:
     )
 
 
-def f_abc_polynomial(a: int, b: int, c: int, copies: int = 5) -> Polynomial:
-    """F(a,b,c) as an exact polynomial on the prolongation coordinates."""
-    coords = prolonged_coords(("x", "v"), copies)
-    xa, va = _slot_vars(coords, a)
-    xb, vb = _slot_vars(coords, b)
-    xc, vc = _slot_vars(coords, c)
-    return (
-        va * (xc - xb)
-        + vb * (xa - xc)
-        + vc * (xb - xa)
-        + (xa - xb) * (xb - xc) * (xc - xa)
-    )
-
-
-# Lambda1 = F431*F210/(F421*F310) and Lambda2 = F431*F420/(F421*F430) as
-# ((numerator triples), (denominator triples)) of F_abc slot indices
-LAMBDA_SLOTS = (
-    (((4, 3, 1), (2, 1, 0)), ((4, 2, 1), (3, 1, 0))),
-    (((4, 3, 1), (4, 2, 0)), ((4, 2, 1), (4, 3, 0))),
-)
-
-
 def _lambda_f_polynomials() -> dict[tuple[int, int, int], Polynomial]:
     """The six distinct F_abc of LAMBDA_SLOTS as exact polynomials."""
-    return {
-        abc: f_abc_polynomial(*abc)
-        for num, den in LAMBDA_SLOTS
-        for abc in num + den
-    }
+    coords = prolonged_coords(("x", "v"), 5)
+    return _lambda_f([_slot_vars(coords, a) for a in range(5)])
 
 
 def lambda_rational_functions() -> tuple[RationalFunction, RationalFunction]:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from liesuper import odeint
 from liesuper.cli import main
 
 
@@ -287,6 +288,53 @@ class TestSuperpose:
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and paths[0] in err
+
+    @pytest.mark.parametrize("row,reason", [
+        ("1,nan,0.2", "non-finite"),
+        ("0,0.1,inf", "non-finite"),
+        ("1,0.2", "not enough values"),
+        ("1,abc,0.2", "could not convert"),
+        ("0.25,0.1,0.2", "strictly increasing"),
+    ])
+    def test_bad_input_row_names_file_and_line_exit2(self, tmp_path, capsys,
+                                                     row, reason):
+        paths = []
+        for i in range(4):
+            path = tmp_path / f"p{i}.csv"
+            path.write_text(f"t,x,v\n0,0.{i},0.1\n0.5,0.{i},-0.1\n")
+            paths.append(str(path))
+        with open(paths[2], "a") as fh:
+            fh.write(row + "\n")
+        cfg = {"family": "mdpi", "interval": [0, 1], "inputs": paths,
+               "constants": [0.25, 0.65], "output": str(tmp_path / "rec.csv")}
+        code = main(["superpose", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{paths[2]}, line 4" in err and reason in err
+        assert not (tmp_path / "rec.csv").exists()
+
+    def test_riccati_family_lifted_once(self, tmp_path, monkeypatch):
+        # the a3 constraint checks run inside lift_sode, once per lift
+        calls = []
+        check = odeint._check_riccati_constraints
+
+        def counting(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(odeint, "_check_riccati_constraints", counting)
+        cfg = {
+            "family": "riccati",
+            "coefficients": {"a2": "t", "a3": "1 + t^2"},
+            "interval": [0, 1],
+            "points": 11,
+            "initial_conditions": [[0.1, -0.2], [0.3, 0.1], [-0.2, 0.4], [0.25, -0.4]],
+            "constants": [0.4, 1.3],
+        }
+        code = main(["superpose", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert code == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("key", ["output", "report"])
     def test_unwritable_output_exit2(self, tmp_path, capsys, key):

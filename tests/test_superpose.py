@@ -1,6 +1,7 @@
 """Superposition kernel: F/G functions, constants, reconstruction, integrals."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -126,15 +127,17 @@ class TestConstantsAndInversion:
 
     def test_duplicate_slot_degenerate(self):
         a, b, c = (0.1, 0.2), (0.3, -0.1), (-0.2, 0.4)
-        with pytest.raises(Degenerate):
+        with pytest.raises(Degenerate) as exc:
             lambda_integrals([(0.5, 0.5), a, a, b, c])
+        assert exc.value.which == "F421*F310"
 
     def test_target_equal_to_slot4_degenerate(self):
         # fitting the fourth particular solution makes F420 and F430 both
         # vanish: Lambda2 is 0/0 there, not 0, so this raises rather than fits
         s = [(0.1, 0.2), (0.3, -0.1), (-0.2, 0.4), (0.45, -0.3)]
-        with pytest.raises(Degenerate):
+        with pytest.raises(Degenerate) as exc:
             fit_constants(s[3], s)
+        assert exc.value.which == "F421*F430"
 
     def test_zero_constants_select_slot2(self, rng):
         # with lam1 = lam2 = 0 the formula collapses to x2 exactly
@@ -250,6 +253,28 @@ class TestLambdaAnnihilation:
             mu = _cofactors(hat, F)
             for slots, lam in zip(LAMBDA_SLOTS, lams):
                 assert _cofactors_cancel(mu, slots) == derive_along(hat, lam).num.is_zero
+
+    def test_float_integrals_match_exact_rational_functions(self, rng):
+        # the numerical rule and the annihilation proof read the same f_abc
+        # and LAMBDA_SLOTS; at rational points the two evaluations must agree
+        lams = lambda_rational_functions()
+        checked = 0
+        for _ in range(60):
+            xs = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(5)]
+            vs = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(5)]
+            point = xs + vs  # coordinate order x0..x4, v0..v4
+            dens = [lam.den.eval(point) for lam in lams]
+            try:
+                got = lambda_integrals([(float(x), float(v)) for x, v in zip(xs, vs)])
+            except Degenerate:
+                continue
+            if 0 in dens:
+                continue
+            for lam, den, value in zip(lams, dens, got):
+                exact = lam.num.eval(point) / den
+                assert abs(value - exact) <= 1e-12 * abs(exact)
+            checked += 1
+        assert checked >= 50
 
     def test_mutated_x5_fails_exactly_its_two_records(self):
         report = verify_lambda_annihilation(
