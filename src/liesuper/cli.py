@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import math
 import os
@@ -175,6 +176,26 @@ def _writing(path: str):
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
+def _check_writable(*paths: str | None) -> None:
+    """Refuse, before any work, an output path that cannot be written.
+
+    The parent directory must exist and be writable, and the path must not
+    be a directory or a read-only file.  Nothing is created or truncated.
+    """
+    for path in filter(None, paths):
+        parent = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.path.isdir(parent):
+            code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise ConfigError(
+            f"cannot write {path}: {OSError(code, os.strerror(code), path)}")
+
+
 def _write_report(path: str | None, report_dict: dict, out) -> None:
     if path:
         with _writing(path), open(path, "w") as fh:
@@ -250,6 +271,7 @@ def cmd_solve(args, out=None) -> int:
     ic = _pair(_require(cfg, "initial"), "initial must be [x0, v0]")
     tol = float(cfg.get("tol", _default_tol()))
     sys_ = _build_system(cfg, (t0, t1))
+    _check_writable(cfg.get("output"), cfg.get("report"))
 
     traj = integrate(sys_, ic, t0, grid, tol)
 
@@ -338,6 +360,8 @@ def cmd_superpose(args, out=None) -> int:
     if target is not None:
         target = _pair(target, "target must be [x, v]")
 
+    _check_writable(cfg.get("output"), cfg.get("report"))
+
     trajs = _particular_trajectories(cfg, sys_, t0, grid, tol)
     if cfg.get("inputs") is not None:
         grid = trajs[0].times  # reconstruction runs on the CSV grid
@@ -374,10 +398,13 @@ def cmd_superpose(args, out=None) -> int:
         ),
     }
     if target is not None:
-        reference = integrate(sys_, target, grid[0], grid, tol)
+        # the reference starts from the target where it was fitted, and the
+        # integrator runs forward only: compare from the fitting time on
+        i_fit = 0 if fit_time is None else grid.index(fit_time)
+        reference = integrate(sys_, target, grid[i_fit], grid[i_fit:], tol)
         max_err = max(
             max(abs(a[0] - b[0]), abs(a[1] - b[1]))
-            for a, b in zip(result.trajectory.states, reference.states)
+            for a, b in zip(result.trajectory.states[i_fit:], reference.states)
         )
         report["max_error_vs_reference"] = max_err
         if len(result.trajectory) >= 7:
@@ -476,7 +503,7 @@ def main(argv=None) -> int:
     except Degenerate as exc:
         at = f" at t = {exc.t:.12g}" if exc.t is not None else ""
         print(f"error: degenerate configuration ({exc.which} = "
-              f"{exc.value:.3e}){at}", file=sys.stderr)
+              f"{float(exc.value):.3e}){at}", file=sys.stderr)
         return EXIT_DEGENERATE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,6 +8,9 @@ into the sl(3,R) family handled by :mod:`liesuper.superpose`.  The
 superposition therefore runs in transformed coordinates and only the
 velocities need to be mapped back at the end.
 
+The beta row and the transformed basis are built once per trajectories and
+:class:`RiccatiCoeffs` object (:func:`liesuper.superpose.family_basis`).
+
 With a3 identically 1 the rescaling is the floating-point identity, so this
 whole pipeline degenerates bit-for-bit to the time-independent one.
 """
@@ -31,8 +34,10 @@ from .superpose import (
     ReconstructionResult,
     State,
     SuperposeProblem,
+    SuperpositionBasis,
     _check_trajectories,
-    reconstruct,
+    _constants,
+    family_basis,
 )
 
 __all__ = [
@@ -167,36 +172,24 @@ def superpose_riccati(
     """
     _check_trajectories(trajectories)
     grid = trajectories[0].times
-    # one sqrt(a3(t)) per grid time serves the four transforms and the inverse
-    betas = [c.beta(t) for t in grid]
 
-    transformed = [
-        Trajectory(
-            list(grid),
-            [(x, v / beta) for (x, v), beta in zip(traj.states, betas)],
-            tol=traj.tol,
-            status=traj.status,
-        )
-        for traj in trajectories
-    ]
+    def build():  # one sqrt(a3(t)) per grid time
+        betas = [c.beta(t) for t in grid]
+        rows = zip(betas, *(traj.states for traj in trajectories))
+        return betas, SuperpositionBasis(
+            grid, ([(x, v / b) for x, v in slots] for b, *slots in rows))
+
+    betas, basis = family_basis(trajectories, build, tag=c)
 
     if target is not None:
         t_fit = grid[0] if fit_time is None else fit_time
         target = transform_state(c, t_fit, target)
 
-    problem = SuperposeProblem(
-        transformed,
-        constants=constants,
-        target=target,
-        fit_time=fit_time,
-        eps_gen=eps_gen,
-    )
-    result = reconstruct(problem)
-
-    back = Trajectory(
-        list(result.trajectory.times),
-        [(x, v * beta) for (x, v), beta in zip(result.trajectory.states, betas)],
-        tol=result.trajectory.tol,
-        status="reconstructed",
-    )
-    return ReconstructionResult(back, result.lam1, result.lam2, result.min_denominator)
+    problem = SuperposeProblem(trajectories, constants=constants, target=target,
+                               fit_time=fit_time, eps_gen=eps_gen)
+    lam1, lam2 = _constants(problem, lambda i: [
+        (x, v / betas[i]) for x, v in (tr.states[i] for tr in trajectories)])
+    states, min_den = basis.evaluate(lam1, lam2, eps_gen)
+    back = Trajectory(list(grid), [(x, v * b) for (x, v), b in zip(states, betas)],
+                      tol=trajectories[0].tol, status="reconstructed")
+    return ReconstructionResult(back, lam1, lam2, min_den)

@@ -12,12 +12,17 @@ Slot convention: slot 0 is the unknown/target; slots 1..4 are the particular
 solutions in user-given order.  No automatic reordering is attempted —
 degeneracy is reported, never repaired, since silently permuting slots would
 change the meaning of the constants.
+
+Numerically the constant-free blocks are built once per four trajectories
+(:class:`SuperpositionBasis`, memoised by :func:`family_basis`) and then
+evaluated per pair of constants, bit for bit as the per-point formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from operator import is_
+from typing import Iterable, Sequence
 
 from .exactpoly import Polynomial, RationalFunction, VectorField, derive_along, prolong, prolonged_coords
 from .algebra import Report, builtin_fields
@@ -37,6 +42,8 @@ __all__ = [
     "SuperposeProblem",
     "ReconstructionResult",
     "reconstruct",
+    "SuperpositionBasis",
+    "family_basis",
     "LAMBDA_SLOTS",
     "lambda_rational_functions",
     "verify_lambda_annihilation",
@@ -57,7 +64,7 @@ class Degenerate(ArithmeticError):
         self.value = value
         self.t = t
         at = f" at t={t}" if t is not None else ""
-        super().__init__(f"degenerate configuration: {which} = {value:.3e}{at}")
+        super().__init__(f"degenerate configuration: {which} = {float(value):.3e}{at}")
 
 
 def f_abc(sa: State, sb: State, sc: State) -> float:
@@ -144,73 +151,93 @@ def lambda_integrals(
     return tuple(lams)
 
 
-def _pivots(s: Sequence[State]) -> tuple[float, float]:
-    """F431 and F421 of the four particular slot states (1..4)."""
-    s1, s2, s3, s4 = s
-    return f_abc(s4, s3, s1), f_abc(s4, s2, s1)
+class SuperpositionBasis:
+    """The blocks of the formula free of (lam1, lam2) at each of ``times``,
+    from the four particular states of each ``slot_rows`` entry.  Evaluations
+    keep the per-point formula's order of operations: the same bits."""
+
+    def __init__(self, times: Sequence, slot_rows: Iterable[Sequence[State]]):
+        self.times = list(times)
+        self._x_rows, self._v_rows = x_rows, v_rows = [], []
+        for s1, s2, s3, s4 in slot_rows:
+            (x1, v1), (x2, v2), (x3, v3) = s1, s2, s3
+            F431, F421 = f_abc(s4, s3, s1), f_abc(s4, s2, s1)
+            D1 = f_abc(s1, s2, s4) - f_abc(s3, s2, s4)
+            D2 = f_abc(s4, s1, s2) - f_abc(s3, s1, s2)
+            x_rows.append((F431, D1, D2, F421, g_abcd(s3, s1, s2, s4),
+                           g_abcd(s2, s1, s3, s4), x2 * F431, x3 * F421,
+                           max(1.0, abs(F431), abs(D1), abs(D2), abs(F421))))
+            d21, d13 = x2 - x1, x1 - x3
+            v_rows.append((x1, v1, x2, v2, x3, v3, d21, d13, F431, F421,
+                           d21 * F431, d13 * F421))
+
+    def positions(self, lam1, lam2, eps_gen):
+        """x0 up to the first tripped guard, min |denominator|, that Degenerate."""
+        xs: list[float] = []
+        min_den = float("inf")
+        lam12 = lam1 * lam2
+        # |den| > bound * scale rules the guard out without its max over the
+        # terms: every |term| is at most scale * max(1, |lam1|, |lam2|,
+        # |lam12|), and the factor 2 covers the rounding of both bounds
+        bound = 2.0 * eps_gen * max(1.0, abs(lam1), abs(lam2), abs(lam12))
+        for t, (F431, D1, D2, F421, G3124, G2134, x2F431, x3F421,
+                scale) in zip(self.times, self._x_rows):
+            num = x2F431 - G3124 * lam2 - G2134 * lam1 + x3F421 * lam1 * lam2
+            terms = (F431, D1 * lam1, D2 * lam2, lam12 * F421)
+            den = sum(terms)
+            a = abs(den)
+            if not a > bound * scale and a <= eps_gen * max(
+                    1.0, max(map(abs, terms))):
+                return xs, min_den, Degenerate("superposition denominator", den, t)
+            if a < min_den:
+                min_den = a
+            xs.append(num / den)
+        return xs, min_den, None
+
+    def velocities(self, xs, lam1, eps_gen) -> list[float]:
+        """v0 from inverting Lambda1 at the positions ``xs`` (leading times)."""
+        vs = []
+        for t, x0, (x1, v1, x2, v2, x3, v3, d21, d13, F431, F421, d21F431,
+                    d13F421) in zip(self.times, xs, self._v_rows):
+            num = (
+                v1 * (x2 - x0) + v2 * (x0 - x1) + (x1 - x0) * (x0 - x2) * d21
+            ) * F431 + (
+                v3 * (x1 - x0) + v1 * (x0 - x3) + (x0 - x1) * d13 * (x3 - x0)
+            ) * F421 * lam1
+            den = d21F431 + d13F421 * lam1
+            a = abs(num)
+            if abs(den) <= eps_gen * (a if a > 1.0 else 1.0):  # max(1.0, |num|)
+                raise Degenerate("v0-denominator", den, t)
+            vs.append(num / den)
+        return vs
+
+    def evaluate(self, lam1, lam2, eps_gen) -> tuple[list[State], float]:
+        """The (x0, v0) row and min |denominator|; Degenerate at the first
+        tripped guard, the position guard first at equal times."""
+        xs, min_den, failure = self.positions(lam1, lam2, eps_gen)
+        vs = self.velocities(xs, lam1, eps_gen)
+        if failure is not None:
+            raise failure
+        return list(zip(xs, vs)), min_den
 
 
-def _position(s, F431, F421, lam1, lam2, eps_gen, t) -> tuple[float, float]:
-    """x0 of the superposition formula and its denominator."""
-    s1, s2, s3, s4 = s
-    F124 = f_abc(s1, s2, s4)
-    F324 = f_abc(s3, s2, s4)
-    F412 = f_abc(s4, s1, s2)
-    F312 = f_abc(s3, s1, s2)
-    G3124 = g_abcd(s3, s1, s2, s4)
-    G2134 = g_abcd(s2, s1, s3, s4)
-    num = s2[0] * F431 - G3124 * lam2 - G2134 * lam1 + s3[0] * F421 * lam1 * lam2
-    terms = (
-        F431,
-        (F124 - F324) * lam1,
-        (F412 - F312) * lam2,
-        lam1 * lam2 * F421,
-    )
-    den = sum(terms)
-    _guard("superposition denominator", den, max(map(abs, terms)), eps_gen, t)
-    return num / den, den
-
-
-def _velocity(s, F431, F421, x0, lam1, eps_gen, t) -> float:
-    """v0 from inverting Lambda1 at the position x0."""
-    s1, s2, s3, _ = s
-    x1, v1 = s1
-    x2, v2 = s2
-    x3, v3 = s3
-    num = (
-        v1 * (x2 - x0) + v2 * (x0 - x1) + (x1 - x0) * (x0 - x2) * (x2 - x1)
-    ) * F431 + (
-        v3 * (x1 - x0) + v1 * (x0 - x3) + (x0 - x1) * (x1 - x3) * (x3 - x0)
-    ) * F421 * lam1
-    den = (x2 - x1) * F431 + (x1 - x3) * F421 * lam1
-    _guard("v0-denominator", den, abs(num), eps_gen, t)
-    return num / den
-
-
-def recover_v0(
-    s: Sequence[State],
-    x0: float,
-    lam1: float,
-    eps_gen: float = EPS_GEN,
-    t: float | None = None,
-) -> float:
+def recover_v0(s: Sequence[State], x0: float, lam1: float,
+               eps_gen: float = EPS_GEN, t: float | None = None) -> float:
     """Invert Lambda1 for the velocity of the unknown slot.
 
     ``s`` holds the four particular slot states (1..4); ``x0`` is the
     position of slot 0.
     """
-    return _velocity(s, *_pivots(s), x0, lam1, eps_gen, t)
+    return SuperpositionBasis([t], [s]).velocities([x0], lam1, eps_gen)[0]
 
 
-def superpose_value(
-    s: Sequence[State],
-    lam1: float,
-    lam2: float,
-    eps_gen: float = EPS_GEN,
-    t: float | None = None,
-) -> float:
+def superpose_value(s: Sequence[State], lam1: float, lam2: float,
+                    eps_gen: float = EPS_GEN, t: float | None = None) -> float:
     """Position of the unknown slot from four particular states and constants."""
-    return _position(s, *_pivots(s), lam1, lam2, eps_gen, t)[0]
+    xs, _, failure = SuperpositionBasis([t], [s]).positions(lam1, lam2, eps_gen)
+    if failure is not None:
+        raise failure
+    return xs[0]
 
 
 def fit_constants(
@@ -271,45 +298,62 @@ class ReconstructionResult:
         }
 
 
-def _slot_states(trajectories: Sequence[Trajectory], i: int) -> list[State]:
-    return [traj.states[i] for traj in trajectories]
+def _constants(problem: SuperposeProblem, slots_at) -> tuple[float, float]:
+    """The problem's constants, or its target's first integrals at the fitting
+    time; ``slots_at(i)`` gives the four particular states at grid index i."""
+    if problem.constants is not None:
+        return problem.constants
+    grid = problem.trajectories[0].times
+    try:
+        i_fit = 0 if problem.fit_time is None else grid.index(problem.fit_time)
+    except ValueError:
+        raise ValueError(f"fit_time {problem.fit_time} is not a grid time")
+    return fit_constants(problem.target, slots_at(i_fit), eps_gen=problem.eps_gen,
+                         t=grid[i_fit])
+
+
+_last_basis: tuple = ((), None)  # (the objects seen, build result)
+
+
+def family_basis(trajectories: Sequence[Trajectory], build, tag=None):
+    """``build()``, reused for the same trajectory and ``tag`` objects.
+
+    A one-entry memo: reuse also needs the first trajectory's times and all
+    state rows to be the objects seen at build time.  Those are immutable
+    tuples, so a hit returns what a rebuild would; non-tuple rows rebuild.
+    """
+    global _last_basis
+    seen = [(*trajectories, tag), trajectories[0].times,
+            *(traj.states for traj in trajectories)]
+    last, built = _last_basis
+    if len(seen) == len(last) and all(map(_same_objects, seen, last)):
+        return built
+    _last_basis = ((), None)  # not two bases alive while building
+    built = build()
+    if all({tuple}.issuperset(map(type, traj.states)) for traj in trajectories):
+        _last_basis = ([list(r) for r in seen], built)
+    return built
+
+
+def _same_objects(a, b) -> bool:
+    return len(a) == len(b) and all(map(is_, a, b))
 
 
 def reconstruct(problem: SuperposeProblem) -> ReconstructionResult:
     """Rebuild the unknown solution on the whole grid from four particular ones.
 
     The x row comes from the superposition formula at fixed constants, the v
-    row from the exact inversion of Lambda1 (not finite differences).  The
-    first grid time at which a guard trips is reported via Degenerate(t).
+    row from the exact inversion of Lambda1 (not finite differences), by one
+    evaluation of the trajectories' memoised basis.  The first grid time at
+    which a guard trips is reported via Degenerate(t).
     """
     trajs = problem.trajectories
-    grid = trajs[0].times
-    eps = problem.eps_gen
-
-    if problem.constants is not None:
-        lam1, lam2 = problem.constants
-    else:
-        if problem.fit_time is None:
-            i_fit = 0
-        else:
-            try:
-                i_fit = grid.index(problem.fit_time)
-            except ValueError:
-                raise ValueError(f"fit_time {problem.fit_time} is not a grid time")
-        lam1, lam2 = fit_constants(
-            problem.target, _slot_states(trajs, i_fit), eps_gen=eps, t=grid[i_fit]
-        )
-
-    states: list[State] = []
-    min_den = float("inf")
-    for i, t in enumerate(grid):
-        s = _slot_states(trajs, i)
-        F431, F421 = _pivots(s)
-        x0, den = _position(s, F431, F421, lam1, lam2, eps, t)
-        min_den = min(min_den, abs(den))
-        states.append((x0, _velocity(s, F431, F421, x0, lam1, eps, t)))
-
-    traj = Trajectory(list(grid), states, tol=trajs[0].tol, status="reconstructed")
+    lam1, lam2 = _constants(problem, lambda i: [tr.states[i] for tr in trajs])
+    basis = family_basis(trajs, lambda: SuperpositionBasis(
+        trajs[0].times, zip(*(traj.states for traj in trajs))))
+    states, min_den = basis.evaluate(lam1, lam2, problem.eps_gen)
+    traj = Trajectory(list(trajs[0].times), states, tol=trajs[0].tol,
+                      status="reconstructed")
     return ReconstructionResult(traj, lam1, lam2, min_den)
 
 

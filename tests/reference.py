@@ -11,6 +11,12 @@ accumulation is spelled out here).
 exact eliminations that ``exactpoly.Elimination`` replaced: Gauss-Jordan over
 ``Fraction`` rebuilt for every target, and Bareiss elimination for the rank.
 ``ReferenceElimination`` answers the ``Elimination`` interface through them.
+
+``reconstruct_reference`` and ``superpose_riccati_reference`` are the
+superposition rule evaluated point by point, every F_abc and G_abcd
+recomputed at each grid time for each pair of constants, the way it ran
+before ``superpose.SuperpositionBasis`` stored the constant-free blocks; the
+Riccati one also builds the four transformed trajectories per call.
 """
 
 import math
@@ -38,6 +44,15 @@ from liesuper.odeint import (
     BlowUp,
     NonFinite,
     Trajectory,
+)
+from liesuper.riccati import transform_state
+from liesuper.superpose import (
+    Degenerate,
+    ReconstructionResult,
+    SuperposeProblem,
+    f_abc,
+    fit_constants,
+    g_abcd,
 )
 
 
@@ -369,3 +384,103 @@ class ReferenceElimination:
         return in_span(
             _as_field(target, slots), [_as_field(v, slots) for v in self.basis]
         )
+
+
+def _guard(which, den, scale, eps, t):
+    if abs(den) <= eps * max(1.0, scale):
+        raise Degenerate(which, den, t)
+
+
+def _pivots(s):
+    """F431 and F421 of the four particular slot states (1..4)."""
+    s1, s2, s3, s4 = s
+    return f_abc(s4, s3, s1), f_abc(s4, s2, s1)
+
+
+def _position(s, F431, F421, lam1, lam2, eps_gen, t):
+    """x0 of the superposition formula and its denominator."""
+    s1, s2, s3, s4 = s
+    F124 = f_abc(s1, s2, s4)
+    F324 = f_abc(s3, s2, s4)
+    F412 = f_abc(s4, s1, s2)
+    F312 = f_abc(s3, s1, s2)
+    G3124 = g_abcd(s3, s1, s2, s4)
+    G2134 = g_abcd(s2, s1, s3, s4)
+    num = s2[0] * F431 - G3124 * lam2 - G2134 * lam1 + s3[0] * F421 * lam1 * lam2
+    terms = (
+        F431,
+        (F124 - F324) * lam1,
+        (F412 - F312) * lam2,
+        lam1 * lam2 * F421,
+    )
+    den = sum(terms)
+    _guard("superposition denominator", den, max(map(abs, terms)), eps_gen, t)
+    return num / den, den
+
+
+def _velocity(s, F431, F421, x0, lam1, eps_gen, t):
+    """v0 from inverting Lambda1 at the position x0."""
+    s1, s2, s3, _ = s
+    x1, v1 = s1
+    x2, v2 = s2
+    x3, v3 = s3
+    num = (
+        v1 * (x2 - x0) + v2 * (x0 - x1) + (x1 - x0) * (x0 - x2) * (x2 - x1)
+    ) * F431 + (
+        v3 * (x1 - x0) + v1 * (x0 - x3) + (x0 - x1) * (x1 - x3) * (x3 - x0)
+    ) * F421 * lam1
+    den = (x2 - x1) * F431 + (x1 - x3) * F421 * lam1
+    _guard("v0-denominator", den, abs(num), eps_gen, t)
+    return num / den
+
+
+def reconstruct_reference(problem):
+    """Same contract as ``liesuper.superpose.reconstruct``, point by point."""
+    trajs = problem.trajectories
+    grid = trajs[0].times
+    eps = problem.eps_gen
+    if problem.constants is not None:
+        lam1, lam2 = problem.constants
+    else:
+        if problem.fit_time is None:
+            i_fit = 0
+        else:
+            try:
+                i_fit = grid.index(problem.fit_time)
+            except ValueError:
+                raise ValueError(f"fit_time {problem.fit_time} is not a grid time")
+        lam1, lam2 = fit_constants(
+            problem.target, [tr.states[i_fit] for tr in trajs], eps_gen=eps,
+            t=grid[i_fit],
+        )
+    states = []
+    min_den = float("inf")
+    for i, t in enumerate(grid):
+        s = [tr.states[i] for tr in trajs]
+        F431, F421 = _pivots(s)
+        x0, den = _position(s, F431, F421, lam1, lam2, eps, t)
+        min_den = min(min_den, abs(den))
+        states.append((x0, _velocity(s, F431, F421, x0, lam1, eps, t)))
+    traj = Trajectory(list(grid), states, tol=trajs[0].tol, status="reconstructed")
+    return ReconstructionResult(traj, lam1, lam2, min_den)
+
+
+def superpose_riccati_reference(c, trajectories, constants=None, target=None,
+                                fit_time=None, eps_gen=1e-10):
+    """Same contract as ``liesuper.riccati.superpose_riccati``, per call."""
+    grid = trajectories[0].times
+    betas = [c.beta(t) for t in grid]
+    moved = [
+        Trajectory(list(grid), [(x, v / b) for (x, v), b in zip(tr.states, betas)],
+                   tol=tr.tol, status=tr.status)
+        for tr in trajectories
+    ]
+    if target is not None:
+        target = transform_state(c, grid[0] if fit_time is None else fit_time, target)
+    res = reconstruct_reference(SuperposeProblem(
+        moved, constants=constants, target=target, fit_time=fit_time,
+        eps_gen=eps_gen))
+    back = Trajectory(
+        list(grid), [(x, v * b) for (x, v), b in zip(res.trajectory.states, betas)],
+        tol=res.trajectory.tol, status="reconstructed")
+    return ReconstructionResult(back, res.lam1, res.lam2, res.min_denominator)

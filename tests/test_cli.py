@@ -4,8 +4,21 @@ import json
 
 import pytest
 
-from liesuper import odeint
+from liesuper import cli, odeint
 from liesuper.cli import main
+
+
+def count_integrations(monkeypatch) -> list:
+    """Record each call of the CLI's integrate; the calls still run."""
+    calls = []
+    integrate = cli.integrate
+
+    def counting(*args):
+        calls.append(args[2])
+        return integrate(*args)
+
+    monkeypatch.setattr(cli, "integrate", counting)
+    return calls
 
 
 def write_config(tmp_path, name, cfg):
@@ -135,12 +148,24 @@ class TestSolve:
         assert err.count("\n") == 1 and key in err
 
     @pytest.mark.parametrize("key", ["output", "report"])
-    def test_unwritable_output_exit2(self, tmp_path, capsys, key):
+    def test_unwritable_output_exit2(self, tmp_path, capsys, monkeypatch, key):
+        integrations = count_integrations(monkeypatch)
         cfg = dict(SOLVE_BASE, **{key: str(tmp_path / "missing-dir" / "x")})
         code = main(["solve", "--config", write_config(tmp_path, "c.json", cfg)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "missing-dir" in err
+        assert integrations == []  # refused before any work
+
+    @pytest.mark.parametrize("key", ["output", "report"])
+    def test_directory_as_output_exit2(self, tmp_path, capsys, monkeypatch, key):
+        integrations = count_integrations(monkeypatch)
+        cfg = dict(SOLVE_BASE, **{key: str(tmp_path)})
+        code = main(["solve", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'\n"
+        assert integrations == []
 
     def test_rhs_overflow_exit4(self, tmp_path, capsys):
         cfg = dict(SOLVE_BASE, initial=[1e200, 0])
@@ -337,7 +362,8 @@ class TestSuperpose:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("key", ["output", "report"])
-    def test_unwritable_output_exit2(self, tmp_path, capsys, key):
+    def test_unwritable_output_exit2(self, tmp_path, capsys, monkeypatch, key):
+        integrations = count_integrations(monkeypatch)
         cfg = {
             "family": "mdpi",
             "interval": [0, 1],
@@ -350,6 +376,33 @@ class TestSuperpose:
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "missing-dir" in err
+        assert err == (f"error: cannot write {cfg[key]}: [Errno 2] No such file or "
+                       f"directory: '{cfg[key]}'\n")
+        assert integrations == []  # refused before any work
+
+    def test_reference_integrated_from_fit_time(self, tmp_path, capsys):
+        # the target is fitted at t = 0.5, so the directly integrated
+        # reference must start there too, and is compared from there on
+        cfg = {
+            "family": "general",
+            "coefficients": {"f": "sin(t)", "g": "cos(t)", "h": "0.1"},
+            "interval": [0, 1],
+            "points": 101,
+            "initial_conditions": [[0.1, -0.2], [0.3, 0.1], [-0.2, 0.4], [0.25, -0.4]],
+            "target": [0.05, 0.3],
+            "fit_time": 0.5,
+            "report": str(tmp_path / "rec.json"),
+        }
+        code = main(["superpose", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert code == 0
+        report = json.loads((tmp_path / "rec.json").read_text())
+        assert report["max_error_vs_reference"] < 1e-6
+        assert "max error vs directly integrated target: " in capsys.readouterr().out
+        cfg["fit_time"] = 1  # the last grid time: a one-point comparison
+        code = main(["superpose", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert code == 0
+        report = json.loads((tmp_path / "rec.json").read_text())
+        assert report["max_error_vs_reference"] < 1e-6
 
     def test_duplicate_ic_exit5(self, tmp_path, capsys):
         cfg = {
