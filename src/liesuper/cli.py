@@ -11,13 +11,16 @@ code  meaning
 3     finite-time blow-up detected (t* reported)
 4     coefficient constraint violated
 5     degenerate configuration in the superposition machinery
+6     integration step budget exceeded (likely stiff; t reported)
 ====  =====================================================
 
 Every run writes a machine-readable JSON report next to its primary output;
 re-running with the same config reproduces identical outputs.  The
 environment variables ``LIESUPER_TOL`` and ``LIESUPER_EPS_GEN`` override the
 default integrator tolerance and genericity guard when the config does not
-set them explicitly.
+set them explicitly.  ``tol`` must be finite and positive, ``eps_gen`` finite
+and non-negative, wherever they come from; anything else exits 2 before any
+integration.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .odeint import (
     BlowUp,
     ConstraintViolation,
     NonFinite,
+    StepBudgetExceeded,
     Trajectory,
     integrate,
     lift_sode,
@@ -69,18 +73,11 @@ EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 EXIT_CONSTRAINT = 4
 EXIT_DEGENERATE = 5
+EXIT_BUDGET = 6
 
 
 class ConfigError(ValueError):
     """The configuration file is malformed or inconsistent."""
-
-
-def _default_tol() -> float:
-    return float(os.environ.get("LIESUPER_TOL", "1e-10"))
-
-
-def _default_eps_gen() -> float:
-    return float(os.environ.get("LIESUPER_EPS_GEN", repr(EPS_GEN)))
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +123,27 @@ def _finite_number(value) -> bool:
         return math.isfinite(value)
     except OverflowError:  # an integer literal beyond the float range
         return False
+
+
+def _setting(cfg: dict, key: str, env: str, default: float,
+             positive: bool) -> float:
+    """cfg[key], else $env, else default: finite, and > 0 or >= 0."""
+    if key in cfg:
+        raw, source = cfg[key], f"config key {key!r}"
+    else:
+        raw, source = os.environ.get(env, repr(default)), env
+    try:
+        value = float(raw)
+    except (ValueError, OverflowError):
+        value = math.nan
+    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+        bound = "> 0" if positive else ">= 0"
+        raise ConfigError(f"{source} must be a finite number {bound}, got {raw!r}")
+    return value
+
+
+def _tol(cfg: dict) -> float:
+    return _setting(cfg, "tol", "LIESUPER_TOL", 1e-10, positive=True)
 
 
 def _pair(value, message: str) -> tuple[float, float]:
@@ -269,7 +287,7 @@ def cmd_solve(args, out=None) -> int:
     cfg = _load_config(args.config, _SOLVE_KEYS)
     t0, t1, grid = _grid(cfg)
     ic = _pair(_require(cfg, "initial"), "initial must be [x0, v0]")
-    tol = float(cfg.get("tol", _default_tol()))
+    tol = _tol(cfg)
     sys_ = _build_system(cfg, (t0, t1))
     _check_writable(cfg.get("output"), cfg.get("report"))
 
@@ -349,8 +367,8 @@ def cmd_superpose(args, out=None) -> int:
     """Reconstruct a solution from four particular ones; write CSV + report."""
     cfg = _load_config(args.config, _SUPERPOSE_KEYS)
     t0, t1, grid = _grid(cfg)
-    tol = float(cfg.get("tol", _default_tol()))
-    eps_gen = float(cfg.get("eps_gen", _default_eps_gen()))
+    tol = _tol(cfg)
+    eps_gen = _setting(cfg, "eps_gen", "LIESUPER_EPS_GEN", EPS_GEN, positive=False)
     sys_ = _build_system(cfg, (t0, t1))
 
     constants = cfg.get("constants")
@@ -505,6 +523,10 @@ def main(argv=None) -> int:
         print(f"error: degenerate configuration ({exc.which} = "
               f"{float(exc.value):.3e}){at}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except StepBudgetExceeded as exc:
+        print(f"error: step budget of {exc.budget} attempted steps exceeded "
+              f"at t = {exc.t:.12g} (stiff?)", file=sys.stderr)
+        return EXIT_BUDGET
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -6,11 +6,16 @@ used for the time-dependent ODE coefficients: evaluation is double precision,
 differentiation is exact and symbolic (needed e.g. to build da3/dt when
 deriving the damping coefficient of the canonical Riccati family).
 
-Evaluation is compiled: on first use each node builds a closure ``t -> float``
-over its children's closures (constants converted to float once) and caches
-it on the node, so a right-hand side called millions of times never walks the
-tree or converts a ``Fraction`` again.  ``CoeffExpr.compiled`` hands out that
-closure; ``eval(t)`` calls it.
+Evaluation is generated code.  ``compile_many(exprs)`` writes one
+straight-line Python function ``t -> values`` for a tuple of trees: nodes are
+evaluated in tree-walk order (a ``Div`` evaluates its denominator first),
+every structurally repeated subtree is computed once, and every check is
+inline and raises the ``DomainError`` the tree walk would raise, naming the
+first-evaluated node.  Constants (as floats) and nodes are bound as the
+function's globals, never written into the source, so no user text reaches
+the source and the source depends only on the shape of the trees; the
+compiled code is cached by source.  ``CoeffExpr.compiled`` is the one-tree
+case, built on first use and cached on the node; ``eval(t)`` calls it.
 
 The companion parser accepts the infix grammar used by the CLI: whitespace
 insensitive, ``^`` for integer powers, ``/`` for division (so rationals are
@@ -20,6 +25,7 @@ written ``p/q``), and function calls ``sin(...)``, ``cos(...)``, ``exp(...)``,
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from math import isfinite
@@ -30,6 +36,7 @@ __all__ = [
     "Const",
     "TimeVar",
     "DomainError",
+    "compile_many",
     "ParseError",
     "parse_expr",
 ]
@@ -46,24 +53,25 @@ class DomainError(ArithmeticError):
 
 
 class CoeffExpr:
-    """Base expression node.  Subclasses implement _compile() and diff()."""
+    """Base expression node.  Subclasses implement _emit() and diff()."""
 
     __slots__ = ("_fn",)
 
     @property
     def compiled(self) -> Callable[[float], float]:
-        """The evaluator ``t -> float``, built on first use and cached."""
+        """The evaluator ``t -> float``, generated on first use and cached."""
         try:
             return self._fn
         except AttributeError:
-            fn = self._compile()
+            fn = _kernel((self,), single=True)
             object.__setattr__(self, "_fn", fn)
             return fn
 
     def eval(self, t: float) -> float:
         return self.compiled(t)
 
-    def _compile(self) -> Callable[[float], float]:
+    def _emit(self, k: "_Source") -> str:
+        """Write this node's lines into ``k``; return the name of its value."""
         raise NotImplementedError
 
     def diff(self) -> "CoeffExpr":
@@ -117,17 +125,13 @@ class Const(CoeffExpr):
     def __init__(self, value):
         object.__setattr__(self, "value", Fraction(value))
 
-    def _compile(self):
+    def _emit(self, k):
         try:
             value = float(self.value)
         except OverflowError:  # a literal beyond the float range
-            node = self
-
-            def overflow(t):
-                raise DomainError(t, node, "overflow")
-
-            return overflow
-        return lambda t: value
+            k.lines.append(k.fail(self, "overflow"))
+            return "None"  # no line after the raise runs
+        return k.const(value)
 
     def diff(self) -> CoeffExpr:
         return Const(0)
@@ -139,8 +143,8 @@ class Const(CoeffExpr):
 class TimeVar(CoeffExpr):
     __slots__ = ()
 
-    def _compile(self):
-        return lambda t: t
+    def _emit(self, k):
+        return "t"
 
     def diff(self) -> CoeffExpr:
         return Const(1)
@@ -157,23 +161,16 @@ class _Binary(CoeffExpr):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
+    def _emit(self, k):  # Add, Sub, Mul
+        left, right = k.operand(self.left), k.operand(self.right)
+        return k.emit(self, f"{left} {self.symbol} {right}", finite=True)
+
     def __str__(self):
         return f"({self.left} {self.symbol} {self.right})"
 
 
 class Add(_Binary):
     symbol = "+"
-
-    def _compile(self):
-        left, right, node = self.left.compiled, self.right.compiled, self
-
-        def add(t):
-            value = left(t) + right(t)
-            if isfinite(value):
-                return value
-            raise DomainError(t, node, "non-finite value")
-
-        return add
 
     def diff(self):
         return _add(self.left.diff(), self.right.diff())
@@ -182,34 +179,12 @@ class Add(_Binary):
 class Sub(_Binary):
     symbol = "-"
 
-    def _compile(self):
-        left, right, node = self.left.compiled, self.right.compiled, self
-
-        def sub(t):
-            value = left(t) - right(t)
-            if isfinite(value):
-                return value
-            raise DomainError(t, node, "non-finite value")
-
-        return sub
-
     def diff(self):
         return _sub(self.left.diff(), self.right.diff())
 
 
 class Mul(_Binary):
     symbol = "*"
-
-    def _compile(self):
-        left, right, node = self.left.compiled, self.right.compiled, self
-
-        def mul(t):
-            value = left(t) * right(t)
-            if isfinite(value):
-                return value
-            raise DomainError(t, node, "non-finite value")
-
-        return mul
 
     def diff(self):
         return _add(
@@ -220,19 +195,10 @@ class Mul(_Binary):
 class Div(_Binary):
     symbol = "/"
 
-    def _compile(self):
-        left, right, node = self.left.compiled, self.right.compiled, self
-
-        def div(t):
-            den = right(t)  # the denominator is evaluated first
-            if den == 0.0:
-                raise DomainError(t, node, "division by zero")
-            value = left(t) / den
-            if isfinite(value):
-                return value
-            raise DomainError(t, node, "non-finite value")
-
-        return div
+    def _emit(self, k):
+        den = k.operand(self.right)  # the denominator is evaluated first
+        k.guard(self, f"{den} == 0.0", "division by zero")
+        return k.emit(self, f"{k.operand(self.left)} / {den}", finite=True)
 
     def diff(self):
         num = _sub(
@@ -247,9 +213,8 @@ class Neg(CoeffExpr):
     def __init__(self, arg: CoeffExpr):
         object.__setattr__(self, "arg", arg)
 
-    def _compile(self):
-        arg = self.arg.compiled
-        return lambda t: -arg(t)
+    def _emit(self, k):
+        return k.emit(self, f"-{k.operand(self.arg)}")
 
     def diff(self):
         return Neg(self.arg.diff())
@@ -267,22 +232,12 @@ class Pow(CoeffExpr):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", exponent)
 
-    def _compile(self):
-        base_fn, n, node = self.base.compiled, self.exponent, self
-
-        def power(t):
-            base = base_fn(t)
-            if base == 0.0 and n < 0:
-                raise DomainError(t, node, "zero raised to a negative power")
-            try:
-                value = base**n
-            except OverflowError:
-                raise DomainError(t, node, "overflow") from None
-            if isfinite(value):
-                return value
-            raise DomainError(t, node, "non-finite value")
-
-        return power
+    def _emit(self, k):
+        base = k.operand(self.base)
+        if self.exponent < 0:
+            k.guard(self, f"{base} == 0.0", "zero raised to a negative power")
+        return k.emit(self, f"{base} ** {k.const(self.exponent)}",
+                      overflow=True, finite=True)
 
     def diff(self):
         n = self.exponent
@@ -301,16 +256,15 @@ class _Unary(CoeffExpr):
     def __init__(self, arg: CoeffExpr):
         object.__setattr__(self, "arg", arg)
 
+    def _emit(self, k):  # Sin, Cos
+        return k.emit(self, f"{self.fname}({k.operand(self.arg)})")
+
     def __str__(self):
         return f"{self.fname}({self.arg})"
 
 
 class Sin(_Unary):
     fname = "sin"
-
-    def _compile(self):
-        arg, sin = self.arg.compiled, math.sin
-        return lambda t: sin(arg(t))
 
     def diff(self):
         return _mul(Cos(self.arg), self.arg.diff())
@@ -319,10 +273,6 @@ class Sin(_Unary):
 class Cos(_Unary):
     fname = "cos"
 
-    def _compile(self):
-        arg, cos = self.arg.compiled, math.cos
-        return lambda t: cos(arg(t))
-
     def diff(self):
         return _mul(Neg(Sin(self.arg)), self.arg.diff())
 
@@ -330,20 +280,9 @@ class Cos(_Unary):
 class Exp(_Unary):
     fname = "exp"
 
-    def _compile(self):
-        arg_fn, exp, node = self.arg.compiled, math.exp, self
-
-        def exponential(t):
-            arg = arg_fn(t)
-            try:
-                value = exp(arg)
-            except OverflowError:
-                raise DomainError(t, node, "overflow") from None
-            if isfinite(value):
-                return value
-            raise DomainError(t, node, "non-finite value")
-
-        return exponential
+    def _emit(self, k):
+        return k.emit(self, f"exp({k.operand(self.arg)})",
+                      overflow=True, finite=True)
 
     def diff(self):
         return _mul(Exp(self.arg), self.arg.diff())
@@ -352,16 +291,10 @@ class Exp(_Unary):
 class Sqrt(_Unary):
     fname = "sqrt"
 
-    def _compile(self):
-        arg_fn, sqrt, node = self.arg.compiled, math.sqrt, self
-
-        def square_root(t):
-            v = arg_fn(t)
-            if v < 0.0:
-                raise DomainError(t, node, "sqrt of a negative value")
-            return sqrt(v)
-
-        return square_root
+    def _emit(self, k):
+        arg = k.operand(self.arg)
+        k.guard(self, f"{arg} < 0.0", "sqrt of a negative value")
+        return k.emit(self, f"sqrt({arg})")
 
     def diff(self):
         return Div(self.arg.diff(), _mul(Const(2), Sqrt(self.arg)))
@@ -400,6 +333,117 @@ def _mul(a: CoeffExpr, b: CoeffExpr) -> CoeffExpr:
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value * b.value)
     return Mul(a, b)
+
+
+# ---------------------------------------------------------------------------
+# code generation
+
+# what a kernel reads besides its own constants and nodes
+_RUNTIME = {"DomainError": DomainError, "isfinite": isfinite, "sqrt": math.sqrt,
+            "exp": math.exp, "sin": math.sin, "cos": math.cos}
+
+
+class _Source:
+    """The lines of one kernel and the globals they read.
+
+    ``operand(node)`` is the name that holds the node's value once the lines
+    so far have run: ``t``, a constant or a local.  Nodes are visited in
+    tree-walk order and each distinct expression text is assigned once.  Two
+    subtrees with the same text compute the same value with the same check
+    outcomes, so the first occurrence, which the tree walk would evaluate
+    first, is the one that runs and whose node a failing check names.
+    """
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.bound: dict[str, object] = {}  # global name -> constant or node
+        self.consts: dict[tuple, str] = {}  # (type, value) -> global name
+        self.locals: dict[str, str] = {}  # expression text -> local name
+        self.tested: set[str] = set()  # guard conditions already emitted
+        self.seen: dict[int, str] = {}  # id(node) -> operand
+
+    def operand(self, node: CoeffExpr) -> str:
+        name = self.seen.get(id(node))
+        if name is None:
+            name = self.seen[id(node)] = node._emit(self)
+        return name
+
+    def bind(self, prefix: str, obj) -> str:
+        name = f"{prefix}{len(self.bound)}"
+        self.bound[name] = obj
+        return name
+
+    def const(self, value: float | int) -> str:
+        key = (type(value), value)  # an int exponent is not a float constant
+        if key not in self.consts:
+            self.consts[key] = self.bind("c", value)
+        return self.consts[key]
+
+    def guard(self, node: CoeffExpr, condition: str, reason: str) -> None:
+        """Raise for ``node`` when ``condition`` holds, tested once per text.
+
+        A condition that was false once is false again: the value it tests
+        is the same local.
+        """
+        if condition not in self.tested:
+            self.tested.add(condition)
+            self.lines.append(f"if {condition}: " + self.fail(node, reason))
+
+    def emit(self, node: CoeffExpr, expr: str,
+             overflow: bool = False, finite: bool = False) -> str:
+        """The local that holds ``expr``, assigned once with the node's checks.
+
+        ``overflow`` maps an OverflowError of the operation, and ``finite`` a
+        non-finite result, to a DomainError naming ``node``.
+        """
+        name = self.locals.get(expr)
+        if name is not None:
+            return name
+        name = self.locals[expr] = f"v{len(self.locals)}"
+        if overflow:
+            self.lines += ["try:", f"    {name} = {expr}", "except OverflowError:",
+                           "    " + self.fail(node, "overflow") + " from None"]
+        else:
+            self.lines.append(f"{name} = {expr}")
+        if finite:
+            self.lines.append(
+                f"if not isfinite({name}): " + self.fail(node, "non-finite value"))
+        return name
+
+    def fail(self, node: CoeffExpr, reason: str) -> str:
+        return f"raise DomainError(t, {self.bind('n', node)}, {reason!r})"
+
+
+def _generate(exprs: tuple, single: bool) -> tuple[str, dict[str, object]]:
+    """The source of the kernel for ``exprs`` and the globals it binds."""
+    k = _Source()
+    values = [k.operand(e) for e in exprs]
+    k.lines.append("return " + (
+        values[0] if single else "(" + "".join(f"{v}, " for v in values) + ")"))
+    return "def kernel(t):\n" + "".join(f"    {line}\n" for line in k.lines), k.bound
+
+
+@functools.lru_cache(maxsize=256)
+def _code(source: str):
+    return compile(source, "<coeffexpr kernel>", "exec")
+
+
+def _kernel(exprs: tuple, single: bool) -> Callable:
+    source, bound = _generate(exprs, single)
+    namespace = {**_RUNTIME, **bound}
+    exec(_code(source), namespace)
+    return namespace["kernel"]
+
+
+def compile_many(exprs) -> Callable[[float], tuple[float, ...]]:
+    """One generated function ``t -> tuple of values`` for a sequence of trees.
+
+    The trees are evaluated in order, each in tree-walk order, and the first
+    failing check raises the DomainError (node, reason, t) that evaluating
+    them one by one would raise.  A subtree repeated anywhere in the trees is
+    computed once.
+    """
+    return _kernel(tuple(exprs), single=False)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,15 @@ the first stage of the next step, and a rejected step keeps its first stage.
 Each attempted step costs six right-hand-side evaluations, plus one for the
 very first stage.  The cubic nonlinearity of the supported equations admits
 finite-time blow-up, so step-size underflow is reported as ``BlowUp`` rather
-than ground through.
+than ground through; stiff problems, whose steps shrink without underflowing,
+end in ``StepBudgetExceeded`` once ``STEP_BUDGET`` is spent.
+
+The right-hand side of each lifted family reads all its coefficients at a
+stage from one generated straight-line kernel (``coeffexpr.compile_many``),
+so a subtree shared by several coefficients, such as a3 and sqrt(a3) in the
+Riccati damping, is evaluated once per stage.  The kernel is generated on the
+first call of the right-hand side, not when the system is lifted, and its
+compiled code is cached by the shape of the coefficient trees.
 
 An independent finite-difference residual oracle is provided to check that a
 trajectory (however it was produced) actually satisfies its equation.
@@ -21,12 +29,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .coeffexpr import CoeffExpr, Const, Sqrt, parse_expr
+from .coeffexpr import CoeffExpr, Const, Sqrt, compile_many, parse_expr
 
 __all__ = [
     "ConstraintViolation",
     "BlowUp",
     "NonFinite",
+    "StepBudgetExceeded",
     "GridTooCoarse",
     "FirstOrderSystem",
     "Trajectory",
@@ -43,6 +52,10 @@ FAMILIES = ("mdpi", "exam2", "general", "riccati")
 # a blow-up; no lifespan policy is prescribed for these equations, so this
 # threshold is our own convention
 STEP_UNDERFLOW_FACTOR = 1e-14
+
+# attempted steps allowed beyond one per grid interval before integrate gives
+# up; the largest benchmark integration takes about 2,000 steps
+STEP_BUDGET = 100_000
 
 # a3 > 0 is checked at the A3_PANELS + 1 ends of equal panels of the window
 A3_PANELS = 64
@@ -72,6 +85,16 @@ class NonFinite(ArithmeticError):
     def __init__(self, t: float):
         self.t = t
         super().__init__(f"non-finite right-hand side at t={t}")
+
+
+class StepBudgetExceeded(ArithmeticError):
+    """The integration attempted more steps than its budget (likely stiff)."""
+
+    def __init__(self, t: float, budget: int):
+        self.t = t
+        self.budget = budget
+        super().__init__(
+            f"step budget of {budget} attempted steps exceeded at t={t}")
 
 
 class GridTooCoarse(ValueError):
@@ -128,17 +151,23 @@ def riccati_system(a0: CoeffExpr, a1: CoeffExpr, a2: CoeffExpr, a3: CoeffExpr,
 
     Checks no constraint and takes b0, b1 as given: ``lift_sode`` passes the
     derived ones, ``RiccatiCoeffs.system`` may pass a replacement b0 as a
-    negative control.
+    negative control.  All six coefficients are evaluated before ``x**2``,
+    which can overflow, while the formula as written reads a3 after it: the
+    two orders raise the same first error whenever b0 or b1 contains a3, as
+    the derived b1 = 3 sqrt(a3) does.
     """
-    b0_t, b1_t, a0_t, a1_t, a2_t, a3_t = (
-        e.compiled for e in (b0, b1, a0, a1, a2, a3)
-    )
+    exprs = (b0, b1, a0, a1, a2, a3)
+    kernel = None
 
     def rhs(t, x, v):
+        nonlocal kernel
+        if kernel is None:
+            kernel = compile_many(exprs)
+        b0_t, b1_t, a0_t, a1_t, a2_t, a3_t = kernel(t)
         return (
             v,
-            -(b0_t(t) + b1_t(t) * x) * v
-            - a0_t(t) - a1_t(t) * x - a2_t(t) * x**2 - a3_t(t) * x**3,
+            -(b0_t + b1_t * x) * v
+            - a0_t - a1_t * x - a2_t * x**2 - a3_t * x**3,
         )
 
     return FirstOrderSystem(
@@ -159,39 +188,49 @@ def lift_sode(family: str, coeffs: dict | None = None,
         and a3 > 0 sampled over ``interval``.
 
     Coefficient values may be CoeffExpr trees, expression strings, or numbers.
+    Each right-hand side reads its coefficients from one generated kernel
+    (``coeffexpr.compile_many``; one coefficient: ``CoeffExpr.compiled``),
+    generated on its first call and in the order the formula reads them.
     """
     coeffs = {k: _as_expr(v) for k, v in (coeffs or {}).items()}
 
     def get(name, default=0):
         return coeffs.get(name, Const(default))
 
+    kernel = None
+
     if family == "mdpi":
         f_expr = get("f")
-        f = f_expr.compiled
 
         def rhs(t, x, v):
-            return (v, -3.0 * x * v - x**3 + f(t))
+            nonlocal kernel
+            if kernel is None:
+                kernel = f_expr.compiled
+            return (v, -3.0 * x * v - x**3 + kernel(t))
 
         return FirstOrderSystem("mdpi", rhs, {"f": f_expr})
 
     if family == "exam2":
         lam1_expr = get("lam1")
-        lam1 = lam1_expr.compiled
 
         def rhs(t, x, v):
-            return (v, -3.0 * x * v - x**3 - lam1(t) * x)
+            nonlocal kernel
+            if kernel is None:
+                kernel = lam1_expr.compiled
+            return (v, -3.0 * x * v - x**3 - kernel(t) * x)
 
         return FirstOrderSystem("exam2", rhs, {"lam1": lam1_expr})
 
     if family == "general":
         exprs = {"f": get("f"), "g": get("g"), "h": get("h")}
-        f, g, h = (e.compiled for e in exprs.values())
 
         def rhs(t, x, v):
-            return (
-                v,
-                -3.0 * x * v - x**3 - f(t) * (v + x**2) - g(t) * x - h(t),
-            )
+            nonlocal kernel
+            if kernel is None:
+                kernel = compile_many(exprs.values())
+            x3 = x**3  # can overflow, and the formula reads it before f(t)
+            f, g, h = kernel(t)
+            return (v, -3.0 * x * v - x3 - f * (v + x**2) - g * x - h)
 
         return FirstOrderSystem("general", rhs, exprs)
 
@@ -302,7 +341,9 @@ def integrate(
     Local error per step is controlled against the mixed scale
     atol + rtol*|y| with atol = rtol = tol.  Raises BlowUp when the step
     size underflows below STEP_UNDERFLOW_FACTOR times the window length,
-    and NonFinite when the right-hand side stops being finite.
+    NonFinite when the right-hand side stops being finite, and
+    StepBudgetExceeded after STEP_BUDGET attempted steps beyond one per grid
+    interval.  An error estimate too large for a float rejects the step.
     ``Trajectory.steps`` counts attempted steps, rejected ones included.
     """
     grid = list(grid)
@@ -311,8 +352,8 @@ def integrate(
     for a, b in zip(grid, grid[1:]):
         if not b > a:
             raise ValueError("grid must be strictly increasing")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
 
     c0, c1, c2, c3, c4, c5, c6 = _C
     (_, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43),
@@ -322,6 +363,7 @@ def integrate(
 
     span = max(grid[-1] - t0, 1e-300)
     h_min = STEP_UNDERFLOW_FACTOR * span
+    budget = STEP_BUDGET + len(grid) - 1
     atol = rtol = tol
 
     t = t0
@@ -345,6 +387,8 @@ def integrate(
             h = min(h, t_target - t)
             if h < h_min:
                 raise BlowUp(t)
+            if steps == budget:
+                raise StepBudgetExceeded(t, budget)
             # stages 1..6; stage 0 is the last stage of the previous
             # accepted step, or kept from the rejected attempt
             k1x, k1v = _rhs_checked(
@@ -378,11 +422,14 @@ def integrate(
                            + e4 * k4v + e5 * k5v + e6 * k6v)
             if not (math.isfinite(y5x) and math.isfinite(y5v)):
                 raise NonFinite(t)
-            err = math.sqrt(
-                0.5
-                * (((y5x - y4x) / (atol + rtol * max(abs(x), abs(y5x)))) ** 2
-                   + ((y5v - y4v) / (atol + rtol * max(abs(v), abs(y5v)))) ** 2)
-            )
+            try:
+                err = math.sqrt(
+                    0.5
+                    * (((y5x - y4x) / (atol + rtol * max(abs(x), abs(y5x)))) ** 2
+                       + ((y5v - y4v) / (atol + rtol * max(abs(v), abs(y5v)))) ** 2)
+                )
+            except OverflowError:  # too large to square: reject the step
+                err = math.inf
             steps += 1
             if err <= 1.0:
                 t = t + h

@@ -1,7 +1,7 @@
 """Slow reference implementations the fast paths are checked against.
 
 ``tree_eval`` walks a ``CoeffExpr`` node by node, the way evaluation worked
-before it was compiled into closures.  ``dopri5_reference`` is the
+before it was compiled.  ``dopri5_reference`` is the
 Dormand-Prince 5(4) loop before FSAL: seven right-hand-side evaluations per
 attempted step, stage sums accumulated left to right from 0 (what the builtin
 ``sum`` does on Python 3.11; later versions compensate float sums, so the

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, outputs, and report files."""
 
 import json
+import time
 
 import pytest
 
@@ -189,6 +190,44 @@ class TestSolve:
         code = main(["solve", "--config", write_config(tmp_path, "c.json", cfg)])
         assert code == 3
         assert "t* =" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", [0, -1e-10, float("inf"), float("nan"), 10**400])
+    def test_bad_tol_exit2_before_integrating(self, tmp_path, capsys, monkeypatch,
+                                              tol):
+        integrations = count_integrations(monkeypatch)
+        cfg = dict(SOLVE_BASE, tol=tol)
+        code = main(["solve", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'tol'" in err
+        assert integrations == []
+
+    @pytest.mark.parametrize("value", ["0", "-1e-8", "inf", "nan", "abc"])
+    def test_bad_env_tolerance_exit2(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("LIESUPER_TOL", value)
+        cfg = {k: v for k, v in SOLVE_BASE.items() if k != "tol"}
+        code = main(["solve", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "LIESUPER_TOL" in err
+
+    def test_error_norm_overflow_rejects_the_step(self, tmp_path, capsys):
+        # at tol 1e-200 the scaled error of a first attempt is too large to
+        # square; the step is rejected and shrunk instead of raising
+        cfg = dict(SOLVE_BASE, family="general", initial=[0.3, -0.2], tol=1e-200,
+                   coefficients={"f": "sin(t)", "g": "1", "h": "t"})
+        code = main(["solve", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
+    def test_stiff_problem_exit6_within_seconds(self, tmp_path, capsys):
+        cfg = dict(SOLVE_BASE, coefficients={"f": "exp(1000*t)"})
+        start = time.perf_counter()
+        code = main(["solve", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert time.perf_counter() - start < 30
+        assert code == 6
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "step budget" in err and "t = " in err
 
     def test_env_var_tolerance_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LIESUPER_TOL", "1e-6")
@@ -415,6 +454,44 @@ class TestSuperpose:
         code = main(["superpose", "--config", write_config(tmp_path, "c.json", cfg)])
         assert code == 5
         assert "t =" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,env", [
+        (-1, None), (float("nan"), None), (float("inf"), None),
+        (None, "nan"), (None, "-1e-3"), (None, "x"),
+    ])
+    def test_bad_eps_gen_exit2_before_integrating(self, tmp_path, capsys,
+                                                  monkeypatch, key, env):
+        # a negative or NaN guard would let an exactly vanishing denominator
+        # through to a ZeroDivisionError
+        integrations = count_integrations(monkeypatch)
+        cfg = {
+            "family": "mdpi",
+            "interval": [0, 1],
+            "points": 51,
+            "initial_conditions": [[0.1, 0.2], [0.1, 0.2], [0.3, -0.1], [-0.2, 0.4]],
+            "constants": [0.3, 0.7],
+        }
+        if key is not None:
+            cfg["eps_gen"] = key
+        if env is not None:
+            monkeypatch.setenv("LIESUPER_EPS_GEN", env)
+        code = main(["superpose", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "EPS_GEN" in err.upper()
+        assert integrations == []
+
+    def test_zero_eps_gen_is_a_guard(self, tmp_path, capsys):
+        cfg = {
+            "family": "mdpi",
+            "interval": [0, 1],
+            "points": 51,
+            "initial_conditions": [[0.1, 0.2], [0.1, 0.2], [0.3, -0.1], [-0.2, 0.4]],
+            "constants": [0.3, 0.7],
+            "eps_gen": 0,
+        }
+        code = main(["superpose", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert code == 5
 
     def test_both_ics_and_inputs_rejected(self, tmp_path):
         cfg = {

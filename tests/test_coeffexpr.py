@@ -1,6 +1,8 @@
 """Expression trees: evaluation, exact differentiation, and the parser."""
 
 import math
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,8 +23,11 @@ from liesuper.coeffexpr import (
     Sqrt,
     Sub,
     TimeVar,
+    _generate,
+    compile_many,
     parse_expr,
 )
+from liesuper.odeint import lift_sode
 from reference import tree_eval
 
 CASES = [
@@ -111,6 +116,134 @@ class TestCompiled:
         with pytest.raises(DomainError) as exc:
             e.eval(0.0)
         assert exc.value.reason == "overflow" and exc.value.node is e
+
+
+def _copy(e):
+    """A structurally equal tree built from fresh nodes."""
+    if isinstance(e, Const):
+        return Const(e.value)
+    if isinstance(e, TimeVar):
+        return TimeVar()
+    if isinstance(e, Pow):
+        return Pow(_copy(e.base), e.exponent)
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return type(e)(_copy(e.left), _copy(e.right))
+    return type(e)(_copy(e.arg))
+
+
+@st.composite
+def _tuples_sharing_subtrees(draw):
+    """Trees over a small pool, sharing subtrees as objects and as copies."""
+    pool = draw(st.lists(_trees, min_size=1, max_size=3))
+
+    def pick():
+        e = draw(st.sampled_from(pool))
+        return _copy(e) if draw(st.booleans()) else e
+
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        shape = draw(st.sampled_from(["pool", "add", "div", "sqrt", "pow"]))
+        e = pick()
+        if shape == "add":
+            e = Add(e, pick())
+        elif shape == "div":
+            e = Div(e, pick())
+        elif shape == "sqrt":
+            e = Sqrt(e)
+        elif shape == "pow":
+            e = Pow(e, draw(st.integers(-2, 3)))
+        out.append(e)
+    return tuple(out)
+
+
+def _outcomes(fn, t):
+    """("values", bits) or ("error", node, reason, t) of one tuple evaluation."""
+    try:
+        values = fn(t)
+    except DomainError as exc:
+        return ("error", id(exc.node), exc.reason, exc.t)
+    return ("values", [v.hex() for v in values])
+
+
+def _compound_keys(e, keys):
+    """Collect the structure of every subtree of ``e`` that is not a leaf."""
+    if isinstance(e, (Const, TimeVar)):
+        return ("c", e.value) if isinstance(e, Const) else ("t",)
+    if isinstance(e, Pow):
+        key = ("Pow", _compound_keys(e.base, keys), e.exponent)
+    elif isinstance(e, (Add, Sub, Mul, Div)):
+        key = (type(e).__name__, _compound_keys(e.left, keys),
+               _compound_keys(e.right, keys))
+    else:
+        key = (type(e).__name__, _compound_keys(e.arg, keys))
+    keys.add(key)
+    return key
+
+
+# coefficient slots in the order each family's formula reads them, with a
+# reference right-hand side on tree-walk values
+_FORMULAS = {
+    "mdpi": (("f",), lambda x, v, f: -3.0 * x * v - x**3 + f),
+    "exam2": (("lam1",), lambda x, v, lam1: -3.0 * x * v - x**3 - lam1 * x),
+    "general": (
+        ("f", "g", "h"),
+        lambda x, v, f, g, h: -3.0 * x * v - x**3 - f * (v + x**2) - g * x - h,
+    ),
+    "riccati": (
+        ("b0", "b1", "a0", "a1", "a2", "a3"),
+        lambda x, v, b0, b1, a0, a1, a2, a3: (
+            -(b0 + b1 * x) * v - a0 - a1 * x - a2 * x**2 - a3 * x**3),
+    ),
+}
+_DISTINCT_COEFFS = {
+    "mdpi": {"f": "sin(t) - 1/3"},
+    "exam2": {"lam1": "1/2 + t"},
+    "general": {"f": "cos(t)", "g": "2 + t/3", "h": "exp(-t)/5"},
+    "riccati": {"a0": "cos(t)", "a1": "3/10", "a2": "sin(t)/2", "a3": "1 + t^2/4"},
+}
+
+
+class TestCompileMany:
+    @settings(max_examples=300, deadline=None)
+    @given(_tuples_sharing_subtrees(), st.lists(_times, min_size=1, max_size=4))
+    def test_tuples_match_tree_walk_bit_for_bit(self, exprs, times):
+        # trees evaluated in order, each in tree-walk order: the first error
+        # names the node, reason and t of evaluating them one by one
+        kernel = compile_many(exprs)
+        for t in times:
+            assert _outcomes(kernel, t) == _outcomes(
+                lambda t: [tree_eval(e, t) for e in exprs], t)
+
+    def test_riccati_kernel_computes_each_subtree_once(self):
+        sys = lift_sode("riccati", _DISTINCT_COEFFS["riccati"])
+        exprs = tuple(sys.coeffs[name] for name in _FORMULAS["riccati"][0])
+        source, _ = _generate(exprs, single=False)
+        distinct = set()
+        for e in exprs:
+            _compound_keys(e, distinct)
+        # one assignment per distinct subtree: a3 and sqrt(a3), shared by
+        # b0, b1 and a3 itself, are computed once each
+        assert len(re.findall(r"^ +v\d+ = ", source, re.M)) == len(distinct)
+        assert source.count("sqrt(") == 1
+
+    def test_source_depends_only_on_the_shape(self):
+        a, b = parse_expr("12345*t + exp(-t^3)"), parse_expr("2*t + exp(-t^5)")
+        (source_a, bound_a), (source_b, bound_b) = (
+            _generate((e,), single=True) for e in (a, b))
+        assert source_a == source_b and bound_a != bound_b
+        assert "12345" not in source_a
+        assert compile_many((a, b))(0.5) == (a.eval(0.5), b.eval(0.5))
+
+    @pytest.mark.parametrize("family", sorted(_FORMULAS))
+    def test_lifted_rhs_matches_tree_walk_bit_for_bit(self, family):
+        names, accel = _FORMULAS[family]
+        sys = lift_sode(family, _DISTINCT_COEFFS[family])
+        rng = random.Random(20261018)
+        for _ in range(200):
+            t, x, v = rng.uniform(0, 1), rng.uniform(-2, 2), rng.uniform(-2, 2)
+            coeffs = [tree_eval(sys.coeffs[name], t) for name in names]
+            got = sys.rhs(t, x, v)
+            assert [z.hex() for z in got] == [v.hex(), accel(x, v, *coeffs).hex()]
 
 
 class TestDiff:

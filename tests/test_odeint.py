@@ -6,12 +6,14 @@ import math
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
+from liesuper import odeint
 from liesuper.coeffexpr import Const
 from liesuper.odeint import (
     BlowUp,
     ConstraintViolation,
     GridTooCoarse,
     NonFinite,
+    StepBudgetExceeded,
     Trajectory,
     integrate,
     lift_sode,
@@ -102,6 +104,16 @@ class TestIntegrate:
             integrate(sys, (-5.0, -40.0), 0.0, grid(0.0, 1.0, 11), 1e-10)
         assert 0.0 < exc.value.t_star < 1.0
 
+    def test_step_budget_beyond_one_step_per_interval(self, monkeypatch):
+        sys, g = lift_sode("mdpi"), grid(0.0, 1.0, 11)
+        steps = integrate(sys, (1.0, -1.0), 0.0, g, 1e-8).steps
+        monkeypatch.setattr(odeint, "STEP_BUDGET", steps - 10)
+        assert integrate(sys, (1.0, -1.0), 0.0, g, 1e-8).steps == steps
+        monkeypatch.setattr(odeint, "STEP_BUDGET", steps - 11)
+        with pytest.raises(StepBudgetExceeded) as exc:
+            integrate(sys, (1.0, -1.0), 0.0, g, 1e-8)
+        assert exc.value.budget == steps - 1 and 0.0 < exc.value.t < 1.0
+
     def test_grid_validation(self):
         sys = lift_sode("mdpi")
         with pytest.raises(ValueError):
@@ -110,6 +122,8 @@ class TestIntegrate:
             integrate(sys, (1.0, -1.0), 0.0, [0.0, 0.0, 1.0], 1e-10)
         with pytest.raises(ValueError):
             integrate(sys, (1.0, -1.0), 0.0, grid(0.0, 1.0, 5), -1e-10)
+        with pytest.raises(ValueError):
+            integrate(sys, (1.0, -1.0), 0.0, grid(0.0, 1.0, 5), math.inf)
 
 
 FAMILY_COEFFS = {
