@@ -423,6 +423,8 @@ def _generate(exprs: tuple, single: bool) -> tuple[str, dict[str, object]]:
     return "def kernel(t):\n" + "".join(f"    {line}\n" for line in k.lines), k.bound
 
 
+# hit when one process lifts the same shapes again: a sweep over constants,
+# or cli.main called repeatedly in-process
 @functools.lru_cache(maxsize=256)
 def _code(source: str):
     return compile(source, "<coeffexpr kernel>", "exec")

@@ -15,9 +15,9 @@ end in ``StepBudgetExceeded`` once ``STEP_BUDGET`` is spent.
 The right-hand side of each lifted family reads all its coefficients at a
 stage from one generated straight-line kernel (``coeffexpr.compile_many``),
 so a subtree shared by several coefficients, such as a3 and sqrt(a3) in the
-Riccati damping, is evaluated once per stage.  The kernel is generated on the
-first call of the right-hand side, not when the system is lifted, and its
-compiled code is cached by the shape of the coefficient trees.
+Riccati damping, is evaluated once per stage.  The kernel is generated when
+the system is lifted, and its compiled code is cached by the shape of the
+coefficient trees.
 
 An independent finite-difference residual oracle is provided to check that a
 trajectory (however it was produced) actually satisfies its equation.
@@ -151,23 +151,26 @@ def riccati_system(a0: CoeffExpr, a1: CoeffExpr, a2: CoeffExpr, a3: CoeffExpr,
 
     Checks no constraint and takes b0, b1 as given: ``lift_sode`` passes the
     derived ones, ``RiccatiCoeffs.system`` may pass a replacement b0 as a
-    negative control.  All six coefficients are evaluated before ``x**2``,
-    which can overflow, while the formula as written reads a3 after it: the
-    two orders raise the same first error whenever b0 or b1 contains a3, as
-    the derived b1 = 3 sqrt(a3) does.
+    negative control.  The kernel computes a3 with the other coefficients,
+    while the formula reads a3 only after ``x**2``; when ``x**2`` overflows,
+    just b0, b1, a0, a1 and a2 are evaluated before it raises, so the first
+    error is the formula's for any b0 and b1.
     """
-    exprs = (b0, b1, a0, a1, a2, a3)
-    kernel = None
+    read_before_x2 = (b0, b1, a0, a1, a2)
+    kernel = compile_many((*read_before_x2, a3))
 
     def rhs(t, x, v):
-        nonlocal kernel
-        if kernel is None:
-            kernel = compile_many(exprs)
+        try:
+            x2 = x**2
+        except OverflowError:
+            for e in read_before_x2:
+                e.eval(t)
+            raise
         b0_t, b1_t, a0_t, a1_t, a2_t, a3_t = kernel(t)
         return (
             v,
             -(b0_t + b1_t * x) * v
-            - a0_t - a1_t * x - a2_t * x**2 - a3_t * x**3,
+            - a0_t - a1_t * x - a2_t * x2 - a3_t * x**3,
         )
 
     return FirstOrderSystem(
@@ -190,44 +193,36 @@ def lift_sode(family: str, coeffs: dict | None = None,
     Coefficient values may be CoeffExpr trees, expression strings, or numbers.
     Each right-hand side reads its coefficients from one generated kernel
     (``coeffexpr.compile_many``; one coefficient: ``CoeffExpr.compiled``),
-    generated on its first call and in the order the formula reads them.
+    generated here, in the order the formula reads them.
     """
     coeffs = {k: _as_expr(v) for k, v in (coeffs or {}).items()}
 
     def get(name, default=0):
         return coeffs.get(name, Const(default))
 
-    kernel = None
-
     if family == "mdpi":
         f_expr = get("f")
+        f = f_expr.compiled
 
         def rhs(t, x, v):
-            nonlocal kernel
-            if kernel is None:
-                kernel = f_expr.compiled
-            return (v, -3.0 * x * v - x**3 + kernel(t))
+            return (v, -3.0 * x * v - x**3 + f(t))
 
         return FirstOrderSystem("mdpi", rhs, {"f": f_expr})
 
     if family == "exam2":
         lam1_expr = get("lam1")
+        lam1 = lam1_expr.compiled
 
         def rhs(t, x, v):
-            nonlocal kernel
-            if kernel is None:
-                kernel = lam1_expr.compiled
-            return (v, -3.0 * x * v - x**3 - kernel(t) * x)
+            return (v, -3.0 * x * v - x**3 - lam1(t) * x)
 
         return FirstOrderSystem("exam2", rhs, {"lam1": lam1_expr})
 
     if family == "general":
         exprs = {"f": get("f"), "g": get("g"), "h": get("h")}
+        kernel = compile_many(exprs.values())
 
         def rhs(t, x, v):
-            nonlocal kernel
-            if kernel is None:
-                kernel = compile_many(exprs.values())
             x3 = x**3  # can overflow, and the formula reads it before f(t)
             f, g, h = kernel(t)
             return (v, -3.0 * x * v - x3 - f * (v + x**2) - g * x - h)

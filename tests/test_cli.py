@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, outputs, and report files."""
 
+import dataclasses
 import json
 import time
 
@@ -220,11 +221,27 @@ class TestSolve:
         assert code == 0
         assert capsys.readouterr().err == ""
 
-    def test_stiff_problem_exit6_within_seconds(self, tmp_path, capsys):
+    def test_stiff_problem_exit6_within_seconds(self, tmp_path, capsys,
+                                                monkeypatch):
+        # the work is pinned by the budget: six rhs calls per attempted
+        # step plus the first stage, and the wall time by a few seconds
+        calls = 0
+        integrate = cli.integrate
+
+        def counting(sys, *args):
+            def rhs(t, x, v):
+                nonlocal calls
+                calls += 1
+                return sys.rhs(t, x, v)
+
+            return integrate(dataclasses.replace(sys, rhs=rhs), *args)
+
+        monkeypatch.setattr(cli, "integrate", counting)
         cfg = dict(SOLVE_BASE, coefficients={"f": "exp(1000*t)"})
         start = time.perf_counter()
         code = main(["solve", "--config", write_config(tmp_path, "c.json", cfg)])
-        assert time.perf_counter() - start < 30
+        assert time.perf_counter() - start < 5
+        assert calls == 6 * (odeint.STEP_BUDGET + cfg["points"] - 1) + 1
         assert code == 6
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "step budget" in err and "t = " in err

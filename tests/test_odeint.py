@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from liesuper import odeint
-from liesuper.coeffexpr import Const
+from liesuper.coeffexpr import Const, DomainError, parse_expr
 from liesuper.odeint import (
     BlowUp,
     ConstraintViolation,
@@ -19,6 +19,7 @@ from liesuper.odeint import (
     lift_sode,
     residual,
     riccati_damping,
+    riccati_system,
 )
 from reference import dopri5_reference
 
@@ -68,6 +69,23 @@ class TestLift:
         aut = lift_sode("mdpi")
         for t, x, v in [(0.0, 0.4, -0.3), (1.3, -1.2, 2.0)]:
             assert ric.rhs(t, x, v) == pytest.approx(aut.rhs(t, x, v), rel=1e-15)
+
+    def test_riccati_rhs_reads_a3_after_x_squared(self):
+        # with b0 and b1 free of a3, the formula's order shows: x**2 overflows
+        # before a failing a3 is read, but after a failing b0 is
+        zero, bad = Const(0), parse_expr("1/(t - t)")
+        a3_fails = riccati_system(zero, zero, zero, bad, zero, zero)
+        with pytest.raises(OverflowError):
+            a3_fails.rhs(0.5, 1e200, 0.0)
+        with pytest.raises(NonFinite):
+            integrate(a3_fails, (1e200, 0.0), 0.0, [0.0, 1.0], 1e-8)
+        with pytest.raises(DomainError) as exc:
+            a3_fails.rhs(0.5, 1.0, 0.0)
+        assert exc.value.node is bad
+        b0_fails = riccati_system(zero, zero, zero, Const(1), bad, zero)
+        with pytest.raises(DomainError) as exc:
+            b0_fails.rhs(0.5, 1e200, 0.0)
+        assert exc.value.node is bad and exc.value.t == 0.5
 
 
 class TestIntegrate:
