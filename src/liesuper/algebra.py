@@ -361,10 +361,7 @@ def verify_paper_table(fields: Sequence[VectorField] | None = None) -> Report:
     return report
 
 
-def verify_isomorphism(
-    fields: Sequence[VectorField] | None = None,
-    matrices: Sequence[Matrix3] | None = None,
-) -> Report:
+def verify_isomorphism(fields: Sequence[VectorField] | None = None) -> Report:
     """Check that M1..M8 realise exactly the X1..X8 structure constants.
 
     Verifies tracelessness and linear independence of the matrices (so the
@@ -372,7 +369,7 @@ def verify_isomorphism(
     that [Ma, Mb] and [Xa, Xb] resolve to identical coefficient vectors.
     """
     basis = list(fields) if fields is not None else builtin_fields("sl3-family")
-    mats = list(matrices) if matrices is not None else sl3_matrices()
+    mats = sl3_matrices()
     report = Report("matrix realisation of the {X1..X8} bracket table")
 
     for i, M in enumerate(mats):

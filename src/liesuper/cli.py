@@ -76,6 +76,10 @@ EXIT_DEGENERATE = 5
 EXIT_BUDGET = 6
 
 
+# largest grid a config may ask for: 50x the 2,001 points the benchmark runs
+MAX_POINTS = 100_001
+
+
 class ConfigError(ValueError):
     """The configuration file is malformed or inconsistent."""
 
@@ -162,6 +166,8 @@ def _grid(cfg: dict) -> tuple[float, float, list[float]]:
     points = int(cfg.get("points", 201))
     if points < 2:
         raise ConfigError("points must be at least 2")
+    if points > MAX_POINTS:
+        raise ConfigError(f"points must be at most {MAX_POINTS}")
     grid = [t0 + (t1 - t0) * i / (points - 1) for i in range(points)]
     grid[-1] = t1
     return t0, t1, grid
@@ -457,12 +463,19 @@ def cmd_rank(args, out=None) -> int:
     # prolonged coordinate order is (x0..x3, v0..v3): exactly the input order
     rank = rank_at(prolonged, values)
 
-    states = [(float(values[a]), float(values[4 + a])) for a in range(4)]
-    product = genericity_product(states)
+    # exact: f_abc uses only + - *, so the verdict is free of rounding
+    product = genericity_product([(values[a], values[4 + a]) for a in range(4)])
+    verdict = "nonzero: generic" if product else "ZERO: degenerate"
+    try:
+        approx = float(product)
+    except OverflowError:
+        approx = None
+    if approx is None or (product and not approx):  # overflow or underflow
+        shown = "is outside the float range"
+    else:
+        shown = f"= {approx:.12g}"
     print(f"rank = {rank}", file=out)
-    print(f"genericity product F123*F124*F134*F234 = {product:.12g}"
-          f" ({'nonzero: generic' if product != 0 else 'ZERO: degenerate'})",
-          file=out)
+    print(f"genericity product F123*F124*F134*F234 {shown} ({verdict})", file=out)
     return EXIT_OK
 
 

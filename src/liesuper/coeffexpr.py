@@ -81,29 +81,14 @@ class CoeffExpr:
     def __add__(self, other):
         return Add(self, _wrap(other))
 
-    def __radd__(self, other):
-        return Add(_wrap(other), self)
-
     def __sub__(self, other):
         return Sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return Sub(_wrap(other), self)
 
     def __mul__(self, other):
         return Mul(self, _wrap(other))
 
-    def __rmul__(self, other):
-        return Mul(_wrap(other), self)
-
     def __truediv__(self, other):
         return Div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return Div(_wrap(other), self)
-
-    def __neg__(self):
-        return Neg(self)
 
     def __pow__(self, n: int):
         return Pow(self, n)
@@ -112,10 +97,6 @@ class CoeffExpr:
 def _wrap(x) -> CoeffExpr:
     if isinstance(x, CoeffExpr):
         return x
-    if isinstance(x, (int, Fraction)):
-        return Const(x)
-    if isinstance(x, float):
-        return Const(Fraction(x).limit_denominator(10**12))
     raise TypeError(f"cannot use {type(x).__name__} as a coefficient expression")
 
 

@@ -9,7 +9,7 @@ superposition therefore runs in transformed coordinates and only the
 velocities need to be mapped back at the end.
 
 The beta row and the transformed basis are built once per trajectories and
-:class:`RiccatiCoeffs` object (:func:`liesuper.superpose.family_basis`).
+:class:`RiccatiCoeffs` object, in the memo of :mod:`liesuper.superpose`.
 
 With a3 identically 1 the rescaling is the floating-point identity, so this
 whole pipeline degenerates bit-for-bit to the time-independent one.
@@ -34,10 +34,7 @@ from .superpose import (
     ReconstructionResult,
     State,
     SuperposeProblem,
-    SuperpositionBasis,
-    _check_trajectories,
-    _constants,
-    family_basis,
+    _reconstruct,
 )
 
 __all__ = [
@@ -170,26 +167,6 @@ def superpose_riccati(
     time-independent rule, and the velocity row is mapped back.  With a3 = 1
     the output is bit-identical to :func:`liesuper.superpose.reconstruct`.
     """
-    _check_trajectories(trajectories)
-    grid = trajectories[0].times
-
-    def build():  # one sqrt(a3(t)) per grid time
-        betas = [c.beta(t) for t in grid]
-        rows = zip(betas, *(traj.states for traj in trajectories))
-        return betas, SuperpositionBasis(
-            grid, ([(x, v / b) for x, v in slots] for b, *slots in rows))
-
-    betas, basis = family_basis(trajectories, build, tag=c)
-
-    if target is not None:
-        t_fit = grid[0] if fit_time is None else fit_time
-        target = transform_state(c, t_fit, target)
-
-    problem = SuperposeProblem(trajectories, constants=constants, target=target,
-                               fit_time=fit_time, eps_gen=eps_gen)
-    lam1, lam2 = _constants(problem, lambda i: [
-        (x, v / betas[i]) for x, v in (tr.states[i] for tr in trajectories)])
-    states, min_den = basis.evaluate(lam1, lam2, eps_gen)
-    back = Trajectory(list(grid), [(x, v * b) for (x, v), b in zip(states, betas)],
-                      tol=trajectories[0].tol, status="reconstructed")
-    return ReconstructionResult(back, lam1, lam2, min_den)
+    return _reconstruct(SuperposeProblem(
+        trajectories, constants=constants, target=target, fit_time=fit_time,
+        eps_gen=eps_gen), c)

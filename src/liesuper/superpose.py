@@ -14,8 +14,8 @@ degeneracy is reported, never repaired, since silently permuting slots would
 change the meaning of the constants.
 
 Numerically the constant-free blocks are built once per four trajectories
-(:class:`SuperpositionBasis`, memoised by :func:`family_basis`) and then
-evaluated per pair of constants, bit for bit as the per-point formula.
+(:class:`SuperpositionBasis`, kept in a one-entry memo) and then evaluated
+per pair of constants, bit for bit as the per-point formula.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "ReconstructionResult",
     "reconstruct",
     "SuperpositionBasis",
-    "family_basis",
     "LAMBDA_SLOTS",
     "lambda_rational_functions",
     "verify_lambda_annihilation",
@@ -250,16 +249,6 @@ def fit_constants(
     return lambda_integrals([target, *s], eps_gen=eps_gen, t=t)
 
 
-def _check_trajectories(trajectories: Sequence[Trajectory]) -> None:
-    """Four particular trajectories on one time grid; else ValueError."""
-    if len(trajectories) != 4:
-        raise ValueError("exactly four particular trajectories are required")
-    grid = trajectories[0].times
-    for traj in trajectories[1:]:
-        if traj.times != grid:
-            raise ValueError("all four trajectories must share one time grid")
-
-
 @dataclass
 class SuperposeProblem:
     """Four particular trajectories plus either constants or a target state.
@@ -276,7 +265,11 @@ class SuperposeProblem:
     eps_gen: float = EPS_GEN
 
     def __post_init__(self):
-        _check_trajectories(self.trajectories)
+        if len(self.trajectories) != 4:
+            raise ValueError("exactly four particular trajectories are required")
+        grid = self.trajectories[0].times
+        if any(traj.times != grid for traj in self.trajectories[1:]):
+            raise ValueError("all four trajectories must share one time grid")
         if (self.constants is None) == (self.target is None):
             raise ValueError("give either constants or a target state, not both")
 
@@ -298,45 +291,61 @@ class ReconstructionResult:
         }
 
 
-def _constants(problem: SuperposeProblem, slots_at) -> tuple[float, float]:
-    """The problem's constants, or its target's first integrals at the fitting
-    time; ``slots_at(i)`` gives the four particular states at grid index i."""
-    if problem.constants is not None:
-        return problem.constants
-    grid = problem.trajectories[0].times
-    try:
-        i_fit = 0 if problem.fit_time is None else grid.index(problem.fit_time)
-    except ValueError:
-        raise ValueError(f"fit_time {problem.fit_time} is not a grid time")
-    return fit_constants(problem.target, slots_at(i_fit), eps_gen=problem.eps_gen,
-                         t=grid[i_fit])
-
-
-_last_basis: tuple = ((), None)  # (the objects seen, build result)
-
-
-def family_basis(trajectories: Sequence[Trajectory], build, tag=None):
-    """``build()``, reused for the same trajectory and ``tag`` objects.
-
-    A one-entry memo: reuse also needs the first trajectory's times and all
-    state rows to be the objects seen at build time.  Those are immutable
-    tuples, so a hit returns what a rebuild would; non-tuple rows rebuild.
-    """
-    global _last_basis
-    seen = [(*trajectories, tag), trajectories[0].times,
-            *(traj.states for traj in trajectories)]
-    last, built = _last_basis
-    if len(seen) == len(last) and all(map(_same_objects, seen, last)):
-        return built
-    _last_basis = ((), None)  # not two bases alive while building
-    built = build()
-    if all({tuple}.issuperset(map(type, traj.states)) for traj in trajectories):
-        _last_basis = ([list(r) for r in seen], built)
-    return built
+_last_basis: tuple = ((), None)  # (the objects seen, (beta row, basis))
 
 
 def _same_objects(a, b) -> bool:
     return len(a) == len(b) and all(map(is_, a, b))
+
+
+def _reconstruct(problem: SuperposeProblem, c) -> ReconstructionResult:
+    """The superposition rule on the whole grid, in scheme coordinates when
+    ``c`` (a RiccatiCoeffs) is given: v' = v / beta(t) in, v = beta(t) v' out.
+
+    The beta row and basis come from a one-entry memo.  Reuse needs the same
+    four trajectories and ``c``, and the first trajectory's times and all
+    state rows to be the objects seen at build time.  Those are immutable
+    tuples, so a hit returns what a rebuild would; non-tuple rows rebuild.
+    """
+    global _last_basis
+    trajs = problem.trajectories
+    grid = trajs[0].times
+    if problem.target is not None:
+        try:
+            i_fit = 0 if problem.fit_time is None else grid.index(problem.fit_time)
+        except ValueError:
+            raise ValueError(f"fit_time {problem.fit_time} is not a grid time")
+    seen = [(*trajs, c), grid, *(traj.states for traj in trajs)]
+    last, built = _last_basis
+    if not (len(seen) == len(last) and all(map(_same_objects, seen, last))):
+        _last_basis = ((), None)  # not two bases alive while building
+        rows = zip(*(traj.states for traj in trajs))
+        if c is None:
+            built = None, SuperpositionBasis(grid, rows)
+        else:  # one sqrt(a3(t)) per grid time
+            betas = [c.beta(t) for t in grid]
+            built = betas, SuperpositionBasis(grid, (
+                [(x, v / b) for x, v in slots] for b, slots in zip(betas, rows)))
+        if all({tuple}.issuperset(map(type, traj.states)) for traj in trajs):
+            _last_basis = ([list(r) for r in seen], built)
+    betas, basis = built
+
+    if problem.constants is not None:
+        lam1, lam2 = problem.constants
+    else:
+        target = problem.target
+        slots = [traj.states[i_fit] for traj in trajs]
+        if betas is not None:  # fit in scheme coordinates too
+            b = betas[i_fit]
+            target = (target[0], target[1] / b)
+            slots = [(x, v / b) for x, v in slots]
+        lam1, lam2 = fit_constants(target, slots, eps_gen=problem.eps_gen,
+                                   t=grid[i_fit])
+    states, min_den = basis.evaluate(lam1, lam2, problem.eps_gen)
+    if betas is not None:
+        states = [(x, v * b) for (x, v), b in zip(states, betas)]
+    traj = Trajectory(list(grid), states, tol=trajs[0].tol, status="reconstructed")
+    return ReconstructionResult(traj, lam1, lam2, min_den)
 
 
 def reconstruct(problem: SuperposeProblem) -> ReconstructionResult:
@@ -347,14 +356,7 @@ def reconstruct(problem: SuperposeProblem) -> ReconstructionResult:
     evaluation of the trajectories' memoised basis.  The first grid time at
     which a guard trips is reported via Degenerate(t).
     """
-    trajs = problem.trajectories
-    lam1, lam2 = _constants(problem, lambda i: [tr.states[i] for tr in trajs])
-    basis = family_basis(trajs, lambda: SuperpositionBasis(
-        trajs[0].times, zip(*(traj.states for traj in trajs))))
-    states, min_den = basis.evaluate(lam1, lam2, problem.eps_gen)
-    traj = Trajectory(list(trajs[0].times), states, tol=trajs[0].tol,
-                      status="reconstructed")
-    return ReconstructionResult(traj, lam1, lam2, min_den)
+    return _reconstruct(problem, None)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,15 @@ SOLVE_BASE = {
 }
 
 
+SUPERPOSE_BASE = {
+    "family": "mdpi",
+    "interval": [0, 1],
+    "points": 11,
+    "initial_conditions": [[0.1, 0.2], [0.3, 0.1], [0.3, -0.1], [-0.2, 0.4]],
+    "constants": [0.3, 0.7],
+}
+
+
 class TestVerify:
     def test_stock_build_passes(self, tmp_path, capsys):
         code = main(["verify", "--output-dir", str(tmp_path)])
@@ -191,6 +200,20 @@ class TestSolve:
         code = main(["solve", "--config", write_config(tmp_path, "c.json", cfg)])
         assert code == 3
         assert "t* =" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points", [cli.MAX_POINTS + 1, 1_000_000_000])
+    def test_too_many_points_exit2_before_allocating(self, tmp_path, capsys,
+                                                      monkeypatch, points):
+        integrations = count_integrations(monkeypatch)
+        # fail at once, rather than allocate, if the grid is ever built
+        monkeypatch.setattr(cli, "range", lambda n: pytest.fail(f"range({n})"),
+                            raising=False)
+        cfg = dict(SOLVE_BASE, points=points)
+        code = main(["solve", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: points must be at most {cli.MAX_POINTS}\n"
+        assert integrations == []
 
     @pytest.mark.parametrize("tol", [0, -1e-10, float("inf"), float("nan"), 10**400])
     def test_bad_tol_exit2_before_integrating(self, tmp_path, capsys, monkeypatch,
@@ -533,13 +556,7 @@ class TestSuperpose:
         ("inputs", ["missing-a.csv", "missing-b.csv", "missing-c.csv", "missing-d.csv"]),
     ])
     def test_malformed_shape_exit2(self, tmp_path, capsys, key, value):
-        cfg = {
-            "family": "mdpi",
-            "interval": [0, 1],
-            "points": 11,
-            "initial_conditions": [[0.1, 0.2], [0.3, 0.1], [0.3, -0.1], [-0.2, 0.4]],
-            "constants": [0.3, 0.7],
-        }
+        cfg = dict(SUPERPOSE_BASE)
         if key == "target":
             del cfg["constants"]
         if key == "inputs":
@@ -549,6 +566,35 @@ class TestSuperpose:
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and ("input" if key == "inputs" else key) in err
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("case,text", [
+        ("invalid JSON", "{"),
+        ("JSON array", "[1, 2]"),
+        ("missing file", None),
+        ("missing family", {k: v for k, v in SUPERPOSE_BASE.items() if k != "family"}),
+        ("missing interval",
+         {k: v for k, v in SUPERPOSE_BASE.items() if k != "interval"}),
+        ("unknown family", dict(SUPERPOSE_BASE, family="nope")),
+        ("reversed interval", dict(SUPERPOSE_BASE, interval=[1, 0])),
+        ("one point", dict(SUPERPOSE_BASE, points=1)),
+        ("one initial condition",
+         dict(SUPERPOSE_BASE, initial_conditions=[[0.1, 0.2]])),
+    ])
+    def test_exit2_with_one_line_and_no_output(self, tmp_path, capsys, case, text):
+        config = tmp_path / "c.json"
+        if text is not None:
+            if isinstance(text, dict):
+                text = json.dumps(dict(text, output=str(tmp_path / "out.csv"),
+                                       report=str(tmp_path / "report.json")))
+            config.write_text(text)
+        code = main(["superpose", "--config", str(config)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            [] if text is None else ["c.json"])
 
 
 class TestRank:
@@ -569,3 +615,15 @@ class TestRank:
     def test_bad_point_exit2(self, capsys):
         assert main(["rank", "--point", "1,2,3"]) == 2
         assert main(["rank", "--point", "1,2,3,4,5,6,7,z"]) == 2
+
+    @pytest.mark.parametrize("point", [
+        "1e-100,2e-100,3e-100,5e-100,7e-100,11e-100,13e-100,17e-100",
+        "1e400,2,3,4,5,6,7,8",
+    ])
+    def test_verdict_is_exact_outside_the_float_range(self, capsys, point):
+        code = main(["rank", "--point", point])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "rank = 8\n"
+            "genericity product F123*F124*F134*F234 is outside the float range"
+            " (nonzero: generic)\n")

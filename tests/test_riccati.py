@@ -138,7 +138,7 @@ class TestSuperposeRiccati:
         result = superpose_riccati(c, trajs[:4], target=target)
         assert result.trajectory.states == expected
         assert (result.lam1, result.lam2) == (rec.lam1, rec.lam2)
-        assert calls == list(g) + [0.0]  # one per grid time, one for the target
+        assert calls == list(g)  # one per grid time; the fit reuses the row
 
     def test_grid_mismatch_before_domain_error(self):
         # a3 = 1 - t^2/4 is positive on the interval but zero at t = 2 and
