@@ -90,13 +90,19 @@ def builtin_fields(which: str) -> list[VectorField]:
     raise ValueError(f"unknown family {which!r}")
 
 
+def _entry(x) -> int | Fraction:
+    """x as an exact rational: an int when integral, else a Fraction."""
+    x = x if isinstance(x, int) else Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 class Matrix3:
-    """Exact 3x3 rational matrix."""
+    """Exact 3x3 rational matrix; entries are ints when integral, else Fractions."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows: Sequence[Sequence[int | Fraction]]):
-        rows = tuple(tuple(Fraction(x) for x in r) for r in rows)
+        rows = tuple(tuple(_entry(x) for x in r) for r in rows)
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("Matrix3 needs a 3x3 array of rationals")
         object.__setattr__(self, "rows", rows)
@@ -128,10 +134,10 @@ class Matrix3:
     def scale(self, c: int | Fraction) -> "Matrix3":
         return Matrix3([[c * a for a in r] for r in self.rows])
 
-    def trace(self) -> Fraction:
+    def trace(self) -> int | Fraction:
         return sum(self.rows[i][i] for i in range(3))
 
-    def flat(self) -> list[Fraction]:
+    def flat(self) -> list[int | Fraction]:
         return [a for r in self.rows for a in r]
 
     def __eq__(self, other) -> bool:

@@ -31,6 +31,7 @@ import errno
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -78,6 +79,13 @@ EXIT_BUDGET = 6
 
 # largest grid a config may ask for: 50x the 2,001 points the benchmark runs
 MAX_POINTS = 100_001
+
+# Python refuses integer strings of more than 4,300 digits, but an exponent gets
+# round that (Fraction("1e200000") has 200,001 digits), and so does a decimal
+# part; a rank entry's numerator and denominator as written are held to one digit
+# more than the limit, which still admits 1e4300
+MAX_DIGITS = 4301
+_DECIMAL = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:e([-+]?[\d_]+))?\s*", re.I)
 
 
 class ConfigError(ValueError):
@@ -444,6 +452,18 @@ def cmd_superpose(args, out=None) -> int:
 # rank
 
 
+def _rational(text: str) -> Fraction:
+    """text as a Fraction, refused first if written out it needs too many digits."""
+    decimal = _DECIMAL.fullmatch(text)  # p/q has no exponent: Python bounds p and q
+    if decimal:
+        whole, frac, exp = (g.replace("_", "") if g else "" for g in decimal.groups())
+        scale = int(exp or 0) - len(frac)  # the value is (whole frac) * 10**scale
+        numerator = len((whole + frac).lstrip("0")) + max(scale, 0)
+        if max(numerator, 1 - min(scale, 0)) > MAX_DIGITS:
+            raise ValueError(f"{text[:20]!r} needs more than {MAX_DIGITS} digits")
+    return Fraction(text)
+
+
 def cmd_rank(args, out=None) -> int:
     """Exact rank of the prolonged fields on four copies at a rational point.
 
@@ -454,7 +474,7 @@ def cmd_rank(args, out=None) -> int:
         raise ConfigError("--point needs 8 comma-separated rationals "
                           "(x1..x4,v1..v4)")
     try:
-        values = [Fraction(p) for p in parts]
+        values = [_rational(p) for p in parts]
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"--point entries must be rationals: {exc}")
 

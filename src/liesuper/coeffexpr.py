@@ -20,7 +20,7 @@ case, built on first use and cached on the node; ``eval(t)`` calls it.
 The companion parser accepts the infix grammar used by the CLI: whitespace
 insensitive, ``^`` for integer powers, ``/`` for division (so rationals are
 written ``p/q``), and function calls ``sin(...)``, ``cos(...)``, ``exp(...)``,
-``sqrt(...)``.
+``sqrt(...)``.  It refuses an expression deeper than ``MAX_DEPTH`` levels.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ class CoeffExpr:
     """Base expression node.  Subclasses implement _emit() and diff()."""
 
     __slots__ = ("_fn",)
+    depth = 1  # levels of the tree from this node down; a leaf is one
 
     @property
     def compiled(self) -> Callable[[float], float]:
@@ -135,12 +136,13 @@ class TimeVar(CoeffExpr):
 
 
 class _Binary(CoeffExpr):
-    __slots__ = ("left", "right")
+    __slots__ = ("left", "right", "depth")
     symbol = "?"
 
     def __init__(self, left: CoeffExpr, right: CoeffExpr):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
+        object.__setattr__(self, "depth", 1 + max(left.depth, right.depth))
 
     def _emit(self, k):  # Add, Sub, Mul
         left, right = k.operand(self.left), k.operand(self.right)
@@ -189,10 +191,11 @@ class Div(_Binary):
 
 
 class Neg(CoeffExpr):
-    __slots__ = ("arg",)
+    __slots__ = ("arg", "depth")
 
     def __init__(self, arg: CoeffExpr):
         object.__setattr__(self, "arg", arg)
+        object.__setattr__(self, "depth", 1 + arg.depth)
 
     def _emit(self, k):
         return k.emit(self, f"-{k.operand(self.arg)}")
@@ -205,13 +208,14 @@ class Neg(CoeffExpr):
 
 
 class Pow(CoeffExpr):
-    __slots__ = ("base", "exponent")
+    __slots__ = ("base", "exponent", "depth")
 
     def __init__(self, base: CoeffExpr, exponent: int):
         if not isinstance(exponent, int):
             raise TypeError("power exponent must be an integer")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "depth", 1 + base.depth)
 
     def _emit(self, k):
         base = k.operand(self.base)
@@ -231,11 +235,12 @@ class Pow(CoeffExpr):
 
 
 class _Unary(CoeffExpr):
-    __slots__ = ("arg",)
+    __slots__ = ("arg", "depth")
     fname = "?"
 
     def __init__(self, arg: CoeffExpr):
         object.__setattr__(self, "arg", arg)
+        object.__setattr__(self, "depth", 1 + arg.depth)
 
     def _emit(self, k):  # Sin, Cos
         return k.emit(self, f"{self.fname}({k.operand(self.arg)})")
@@ -444,11 +449,30 @@ class ParseError(ValueError):
 
 _FUNCTIONS = {"sin": Sin, "cos": Cos, "exp": Exp, "sqrt": Sqrt}
 
+# deepest tree, and deepest nesting of brackets, calls and signs, the parser
+# accepts.  The parser, code generation, ``diff`` and ``str`` recurse once per
+# level, and a derivative is about twice as deep as its tree: at 64 levels
+# lifting a Riccati system stays under 400 of Python's default 1,000 frames
+MAX_DEPTH = 64
+
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.open = 0  # brackets, calls and signs the parser is inside
+
+    def too_deep(self) -> ParseError:
+        return self.error(f"expression nested more than {MAX_DEPTH} levels deep")
+
+    def inside(self, parse) -> CoeffExpr:
+        """parse() one bracket, call or sign further in."""
+        self.open += 1
+        if self.open > MAX_DEPTH:
+            raise self.too_deep()
+        node = parse()
+        self.open -= 1
+        return node
 
     def error(self, message: str) -> ParseError:
         return ParseError(self.text, self.pos, message)
@@ -471,6 +495,8 @@ class _Parser:
         self.skip_ws()
         if self.pos != len(self.text):
             raise self.error("unexpected trailing input")
+        if expr.depth > MAX_DEPTH:  # a long chain such as t+t+...+t
+            raise self.too_deep()
         return expr
 
     def expr(self) -> CoeffExpr:
@@ -503,10 +529,10 @@ class _Parser:
         c = self.peek()
         if c == "-":
             self.pos += 1
-            return Neg(self.unary())
+            return Neg(self.inside(self.unary))
         if c == "+":
             self.pos += 1
-            return self.unary()
+            return self.inside(self.unary)
         return self.power()
 
     def power(self) -> CoeffExpr:
@@ -530,7 +556,7 @@ class _Parser:
         c = self.peek()
         if c == "(":
             self.pos += 1
-            node = self.expr()
+            node = self.inside(self.expr)
             self.take(")")
             return node
         if c.isdigit() or c == ".":
@@ -544,7 +570,7 @@ class _Parser:
                 return TimeVar()
             if name in _FUNCTIONS:
                 self.take("(")
-                arg = self.expr()
+                arg = self.inside(self.expr)
                 self.take(")")
                 return _FUNCTIONS[name](arg)
             self.pos = start

@@ -1,17 +1,20 @@
 """Exact sparse multivariate polynomial algebra over the rationals.
 
-Everything in this module is exact: coefficients are ``fractions.Fraction``
-values, so Lie brackets, prolongations and rank computations carry no
-rounding error whatsoever.  Polynomials are stored sparsely as a map from
-dense exponent tuples to nonzero coefficients; the zero polynomial is the
-empty map.  Values are immutable after construction and safe to share
-between threads.
+Everything in this module is exact: a coefficient is an ``int`` when it is
+integral and a ``fractions.Fraction`` otherwise, never a float, so Lie
+brackets, prolongations and rank computations carry no rounding error
+whatsoever.  The form is canonical: an integral ``Fraction`` is stored as its
+``int``, which compares and hashes equal to it.  Polynomials are stored
+sparsely as a map from dense exponent tuples to nonzero coefficients; the
+zero polynomial is the empty map.  Values are immutable after construction
+and safe to share between threads.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -34,12 +37,32 @@ class CoordinateMismatch(ValueError):
     """Raised when two objects live on different coordinate lists."""
 
 
-def _as_fraction(c: Scalar) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"expected an exact rational scalar, got {type(c).__name__}")
+def _scalar(c: Scalar) -> Scalar:
+    """c in canonical form: an int when integral (a bool too), else a Fraction."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"expected an exact rational scalar, got {type(c).__name__}")
+    return c.numerator if c.denominator == 1 else c
+
+
+def _canonical(terms: dict) -> dict:
+    """terms without zero coefficients, each integral Fraction as its int."""
+    return {e: c if type(c) is int else _scalar(c) for e, c in terms.items() if c}
+
+
+def _product_into(out: dict, a: dict, b: dict) -> dict:
+    """Add the product of the term maps a and b into out; return out."""
+    get = out.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(map(add, e1, e2))
+            out[key] = get(key, 0) + c1 * c2
+    return out
+
+
+def _point(point: Sequence[Scalar], n: int) -> list[Scalar]:
+    if len(point) != n:
+        raise ValueError(f"point has {len(point)} entries, expected {n}")
+    return [_scalar(p) for p in point]
 
 
 def _check_coords(a, b) -> None:
@@ -51,31 +74,36 @@ class Polynomial:
     """Sparse multivariate polynomial with exact rational coefficients.
 
     ``terms`` maps exponent tuples (one non-negative integer per coordinate)
-    to nonzero ``Fraction`` coefficients.  Canonical form is enforced on
-    construction: zero coefficients are dropped, so two polynomials are equal
-    iff their term maps are identical.
+    to nonzero coefficients, ``int`` when integral and ``Fraction`` otherwise.
+    Canonical form is enforced on construction, so two polynomials are equal
+    iff their term maps are equal.
     """
 
     __slots__ = ("coords", "terms")
 
     def __init__(self, coords: Sequence[str], terms: dict | None = None):
         coords = tuple(coords)
-        clean: dict[tuple[int, ...], Fraction] = {}
-        if terms:
-            n = len(coords)
-            for exps, coeff in terms.items():
-                exps = tuple(exps)
-                if len(exps) != n:
-                    raise ValueError(
-                        f"exponent vector {exps} has length {len(exps)}, expected {n}"
-                    )
-                if any(e < 0 for e in exps):
-                    raise ValueError(f"negative exponent in {exps}")
-                coeff = _as_fraction(coeff)
-                if coeff:
-                    clean[exps] = coeff
+        clean: dict[tuple[int, ...], Scalar] = {}
+        n = len(coords)
+        for exps, coeff in (terms or {}).items():
+            exps = tuple(exps)
+            if len(exps) != n:
+                raise ValueError(
+                    f"exponent vector {exps} has length {len(exps)}, expected {n}"
+                )
+            if any(e < 0 for e in exps):
+                raise ValueError(f"negative exponent in {exps}")
+            clean[exps] = _scalar(coeff)
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", _canonical(clean))
+
+    @classmethod
+    def _make(cls, coords: tuple[str, ...], terms: dict) -> "Polynomial":
+        """Trusted constructor: exponents an operation built are not checked again."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "coords", coords)
+        object.__setattr__(p, "terms", _canonical(terms))
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -89,7 +117,7 @@ class Polynomial:
     @classmethod
     def constant(cls, c: Scalar, coords: Sequence[str]) -> "Polynomial":
         coords = tuple(coords)
-        return cls(coords, {(0,) * len(coords): _as_fraction(c)})
+        return cls(coords, {(0,) * len(coords): c})
 
     @classmethod
     def variable(cls, name: str, coords: Sequence[str]) -> "Polynomial":
@@ -97,7 +125,7 @@ class Polynomial:
         if name not in coords:
             raise CoordinateMismatch(f"unknown coordinate {name!r} (coords {coords})")
         exps = tuple(1 if c == name else 0 for c in coords)
-        return cls(coords, {exps: Fraction(1)})
+        return cls(coords, {exps: 1})
 
     # -- arithmetic --------------------------------------------------------
 
@@ -106,16 +134,13 @@ class Polynomial:
             return NotImplemented
         _check_coords(self, other)
         terms = dict(self.terms)
+        get = terms.get
         for exps, c in other.terms.items():
-            s = terms.get(exps, 0) + c
-            if s:
-                terms[exps] = s
-            else:
-                terms.pop(exps, None)
-        return Polynomial(self.coords, terms)
+            terms[exps] = get(exps, 0) + c
+        return Polynomial._make(self.coords, terms)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.coords, {e: -c for e, c in self.terms.items()})
+        return Polynomial._make(self.coords, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -128,24 +153,13 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         _check_coords(self, other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(key, 0) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return Polynomial(self.coords, out)
+        return Polynomial._make(self.coords, _product_into({}, self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def scale(self, c: Scalar) -> "Polynomial":
-        c = _as_fraction(c)
-        if not c:
-            return Polynomial.zero(self.coords)
-        return Polynomial(self.coords, {e: c * v for e, v in self.terms.items()})
+        c = _scalar(c)
+        return Polynomial._make(self.coords, {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -171,22 +185,19 @@ class Polynomial:
         lead_c = divisor.terms[lead]
         tail = [(e, c) for e, c in divisor.terms.items() if e != lead]
         rem = dict(self.terms)
-        quot: dict[tuple[int, ...], Fraction] = {}
+        quot: dict[tuple[int, ...], Scalar] = {}
         while rem:
             top = max(rem)
-            shift = tuple(a - b for a, b in zip(top, lead))
+            shift = tuple(map(sub, top, lead))
             if any(k < 0 for k in shift):
                 return None
-            c = rem.pop(top) / lead_c
-            quot[shift] = c
+            c = quot[shift] = _scalar(Fraction(rem.pop(top)) / lead_c)
             for e, dc in tail:
-                key = tuple(a + b for a, b in zip(shift, e))
-                s = rem.get(key, 0) - c * dc
-                if s:
-                    rem[key] = s
-                else:
-                    rem.pop(key, None)
-        return Polynomial(self.coords, quot)
+                key = tuple(map(add, shift, e))
+                s = rem[key] = rem.get(key, 0) - c * dc
+                if not s:
+                    del rem[key]
+        return Polynomial._make(self.coords, quot)
 
     # -- calculus and evaluation -------------------------------------------
 
@@ -198,30 +209,24 @@ class Polynomial:
             raise CoordinateMismatch(
                 f"unknown coordinate {name!r} (coords {self.coords})"
             ) from None
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Scalar] = {}
         for exps, c in self.terms.items():
             k = exps[i]
-            if k == 0:
-                continue
-            e = list(exps)
-            e[i] = k - 1
-            out[tuple(e)] = c * k
-        return Polynomial(self.coords, out)
+            if k:
+                out[exps[:i] + (k - 1,) + exps[i + 1 :]] = c * k
+        return Polynomial._make(self.coords, out)
 
-    def eval(self, point: Sequence[Scalar]) -> Fraction:
+    def eval(self, point: Sequence[Scalar]) -> Scalar:
         """Evaluate exactly at a rational point."""
-        if len(point) != len(self.coords):
-            raise ValueError(
-                f"point has {len(point)} entries, expected {len(self.coords)}"
-            )
-        pt = [_as_fraction(p) for p in point]
-        total = Fraction(0)
+        return self._eval(_point(point, len(self.coords)))
+
+    def _eval(self, pt: list[Scalar]) -> Scalar:
+        total = 0
         for exps, c in self.terms.items():
-            v = c
             for base, k in zip(pt, exps):
-                if k:
-                    v *= base**k
-            total += v
+                if k:  # a Fraction on the left takes its forward, faster path
+                    c = (base if k == 1 else base**k) * c
+            total = c + total
         return total
 
     # -- queries -----------------------------------------------------------
@@ -236,10 +241,10 @@ class Polynomial:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self) -> Scalar:
         """Coefficient of the lexicographically largest exponent vector."""
         if not self.terms:
-            return Fraction(0)
+            return 0
         return self.terms[max(self.terms)]
 
     def __eq__(self, other) -> bool:
@@ -384,16 +389,17 @@ class VectorField:
     def apply(self, p: Polynomial) -> Polynomial:
         """Lie derivative of a polynomial: X(p) = sum_i X^i dp/dx_i."""
         _check_coords(self, p)
-        out = Polynomial.zero(self.coords)
+        out: dict[tuple[int, ...], Scalar] = {}
         for comp, name in zip(self.components, self.coords):
-            if not comp.is_zero:
-                out = out + comp * p.diff(name)
-        return out
+            if comp.terms:
+                _product_into(out, comp.terms, p.diff(name).terms)
+        return Polynomial._make(self.coords, out)
 
-    def eval(self, point: Sequence[Scalar]) -> list[Fraction]:
-        return [c.eval(point) for c in self.components]
+    def eval(self, point: Sequence[Scalar]) -> list[Scalar]:
+        pt = _point(point, len(self.coords))
+        return [c._eval(pt) for c in self.components]
 
-    def slots(self) -> dict[tuple[int, tuple[int, ...]], Fraction]:
+    def slots(self) -> dict[tuple[int, tuple[int, ...]], Scalar]:
         """The field as a sparse vector: (component, exponents) -> coefficient."""
         return {
             (j, exps): c
@@ -438,7 +444,6 @@ def prolong(X: VectorField, copies: int) -> VectorField:
     space, with every base coordinate ``c`` renamed to ``c{a}``.
     """
     new_coords = prolonged_coords(X.coords, copies)
-    n = len(X.coords)
     width = len(new_coords)
 
     def translate(p: Polynomial, a: int) -> Polynomial:
@@ -448,12 +453,10 @@ def prolong(X: VectorField, copies: int) -> VectorField:
             for j, k in enumerate(exps):
                 new_exps[j * copies + a] = k
             terms[tuple(new_exps)] = c
-        return Polynomial(new_coords, terms)
+        return Polynomial._make(new_coords, terms)
 
-    components = [Polynomial.zero(new_coords)] * width
-    for j in range(n):
-        for a in range(copies):
-            components[j * copies + a] = translate(X.components[j], a)
+    # component j * copies + a is base component j on copy a
+    components = [translate(comp, a) for comp in X.components for a in range(copies)]
     return VectorField(components, new_coords)
 
 
@@ -463,10 +466,7 @@ def derive_along(X: VectorField, F: RationalFunction) -> RationalFunction:
     F = p/q is a first integral of X iff the numerator of the result is the
     zero polynomial.
     """
-    if X.coords != F.coords:
-        raise CoordinateMismatch(
-            f"coordinate lists differ: {X.coords} vs {F.coords}"
-        )
+    _check_coords(X, F)
     p, q = F.num, F.den
     return RationalFunction(q * X.apply(p) - p * X.apply(q), q * q)
 
@@ -496,16 +496,17 @@ class Elimination:
     identity).
     """
 
-    __slots__ = ("rank", "_basis", "_scales", "_pivots", "_origins", "_combos")
+    __slots__ = ("rank", "_rows", "_scales", "_pivots", "_origins", "_combos")
 
     def __init__(self, basis: Sequence[dict]):
-        self._basis = [dict(v) for v in basis]
-        self._scales: list[int] = []
+        self._rows: list[dict] = []  # L_j b_j, each basis vector cleared
+        self._scales: list[int] = []  # L_j
         self._pivots: list[tuple[object, dict, int]] = []  # column, row, pivot
         self._origins: list[tuple[int, list[int]]] = []  # basis index, factors
-        for i, v in enumerate(self._basis):
+        for i, v in enumerate(basis):
             scale, row = _cleared(v)
             self._scales.append(scale)
+            self._rows.append(row)
             row, factors, _ = self._reduce(row)
             if row:
                 col = next(iter(row))
@@ -557,14 +558,15 @@ class Elimination:
     def solve(self, target: dict) -> list[Fraction] | None:
         """Exact coefficients c with sum c_i basis_i == target, or None.
 
-        Dependent basis vectors get coefficient 0.  The coefficients are
-        checked to reproduce the target exactly before they are returned.
+        Dependent basis vectors get coefficient 0.  The combination they
+        stand for is checked, over the integers, to reproduce the target
+        exactly before they are returned.
         """
-        scale, row = _cleared(target)
-        row, factors, last = self._reduce(row)
+        scale, target_row = _cleared(target)
+        row, factors, last = self._reduce(target_row)
         if row:
             return None
-        k = len(self._basis)
+        k = len(self._rows)
         if self._combos is None:
             self._combos = []
             for i, pfactors in self._origins:
@@ -572,19 +574,18 @@ class Elimination:
                 unit[i] = 1
                 self._combos.append(self._combine(unit, pfactors))
         # last * L t + sum_j a_j L_j b_j == 0
-        den = -scale * last
         combo = self._combine([0] * k, factors)
-        coeffs = [Fraction(a * s, den) for a, s in zip(combo, self._scales)]
         total: dict = {}
-        for c, v in zip(coeffs, self._basis):
-            if c:
-                for s, x in v.items():
-                    total[s] = total.get(s, 0) + c * x
+        for a, r in zip(combo, self._rows):
+            if a:
+                for s, x in r.items():
+                    total[s] = total.get(s, 0) + a * x
         if {s: x for s, x in total.items() if x} != {
-            s: x for s, x in target.items() if x
+            s: -last * x for s, x in target_row.items()
         }:
             return None
-        return coeffs
+        den = -scale * last
+        return [Fraction(a * s, den) for a, s in zip(combo, self._scales)]
 
 
 def rank_at(fields: Sequence[VectorField], point: Sequence[Scalar]) -> int:
@@ -595,11 +596,10 @@ def rank_at(fields: Sequence[VectorField], point: Sequence[Scalar]) -> int:
     for f in fields[1:]:
         if f.coords != coords:
             raise CoordinateMismatch("fields live on different coordinate lists")
-    if len(point) != len(coords):
-        raise ValueError(
-            f"point has {len(point)} entries, expected {len(coords)}"
-        )
-    return Elimination([dict(enumerate(f.eval(point))) for f in fields]).rank
+    pt = _point(point, len(coords))  # converted once for every component
+    return Elimination(
+        [dict(enumerate(c._eval(pt) for c in f.components)) for f in fields]
+    ).rank
 
 
 def in_span(

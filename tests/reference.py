@@ -12,6 +12,11 @@ exact eliminations that ``exactpoly.Elimination`` replaced: Gauss-Jordan over
 ``Fraction`` rebuilt for every target, and Bareiss elimination for the rank.
 ``ReferenceElimination`` answers the ``Elimination`` interface through them.
 
+``FractionPolynomial`` with ``apply_reference`` and ``bracket_reference`` is
+the polynomial arithmetic of ``exactpoly`` before integral coefficients were
+stored as ``int``: every coefficient a ``Fraction``, and every result,
+intermediate ones too, validated term by term by the public constructor.
+
 ``reconstruct_reference`` and ``superpose_riccati_reference`` are the
 superposition rule evaluated point by point, every F_abc and G_abcd
 recomputed at each grid time for each pair of constants, the way it ran
@@ -275,7 +280,7 @@ def in_span(X, basis):
             continue
         A[row], A[pr] = A[pr], A[row]
         b[row], b[pr] = b[pr], b[row]
-        inv = 1 / A[row][col]
+        inv = Fraction(1) / A[row][col]
         A[row] = [x * inv for x in A[row]]
         b[row] = b[row] * inv
         for r in range(m):
@@ -319,7 +324,7 @@ def matrix_coefficients(M, basis):
             continue
         A[row], A[pr] = A[pr], A[row]
         b[row], b[pr] = b[pr], b[row]
-        inv = 1 / A[row][col]
+        inv = Fraction(1) / A[row][col]
         A[row] = [x * inv for x in A[row]]
         b[row] *= inv
         for r in range(m):
@@ -484,3 +489,86 @@ def superpose_riccati_reference(c, trajectories, constants=None, target=None,
         list(grid), [(x, v * b) for (x, v), b in zip(res.trajectory.states, betas)],
         tol=res.trajectory.tol, status="reconstructed")
     return ReconstructionResult(back, res.lam1, res.lam2, res.min_denominator)
+
+
+class FractionPolynomial:
+    """Sparse polynomial over ``Fraction`` coefficients, validated on every build."""
+
+    def __init__(self, coords, terms=None):
+        self.coords = tuple(coords)
+        self.terms = {}
+        for exps, c in (terms or {}).items():
+            exps = tuple(exps)
+            if len(exps) != len(self.coords) or any(e < 0 for e in exps):
+                raise ValueError(f"bad exponent vector {exps}")
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"expected an exact rational scalar, got {c!r}")
+            if c:
+                self.terms[exps] = Fraction(c)
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            terms[e] = terms.get(e, 0) + c
+        return FractionPolynomial(self.coords, terms)
+
+    def __neg__(self):
+        return FractionPolynomial(self.coords, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                key = tuple(a + b for a, b in zip(e1, e2))
+                out[key] = out.get(key, 0) + c1 * c2
+        return FractionPolynomial(self.coords, out)
+
+    def scale(self, c):
+        return FractionPolynomial(
+            self.coords, {e: Fraction(c) * v for e, v in self.terms.items()})
+
+    def diff(self, name):
+        i = self.coords.index(name)
+        out = {}
+        for exps, c in self.terms.items():
+            if exps[i]:
+                e = list(exps)
+                e[i] -= 1
+                out[tuple(e)] = c * exps[i]
+        return FractionPolynomial(self.coords, out)
+
+    def exact_div(self, divisor):
+        """Division by the lexicographic leading term, or None if not exact."""
+        lead = max(divisor.terms)
+        lead_c = divisor.terms[lead]
+        rem = dict(self.terms)
+        quot = {}
+        while rem:
+            top = max(rem)
+            shift = tuple(a - b for a, b in zip(top, lead))
+            if any(k < 0 for k in shift):
+                return None
+            c = quot[shift] = rem.pop(top) / lead_c
+            for e, dc in divisor.terms.items():
+                if e != lead:
+                    key = tuple(a + b for a, b in zip(shift, e))
+                    rem[key] = rem.get(key, 0) - c * dc
+                    if not rem[key]:
+                        del rem[key]
+        return FractionPolynomial(self.coords, quot)
+
+
+def apply_reference(components, p):
+    """X(p) = sum_i X^i dp/dx_i, X given by its ``FractionPolynomial`` components."""
+    out = FractionPolynomial(p.coords)
+    for comp, name in zip(components, p.coords):
+        out = out + comp * p.diff(name)
+    return out
+
+
+def bracket_reference(X, Y):
+    """Components of [X, Y] = X(Y^i) - Y(X^i) over ``FractionPolynomial``s."""
+    return [apply_reference(X, Yc) - apply_reference(Y, Xc) for Xc, Yc in zip(X, Y)]
