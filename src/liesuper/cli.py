@@ -45,7 +45,6 @@ from .algebra import (
 from .coeffexpr import DomainError, ParseError
 from .exactpoly import Polynomial, VectorField, prolong, rank_at
 from .odeint import (
-    FAMILIES,
     BlowUp,
     ConstraintViolation,
     NonFinite,
@@ -85,6 +84,11 @@ MAX_POINTS = 100_001
 # part; a rank entry's numerator and denominator as written are held to one digit
 # more than the limit, which still admits 1e4300
 MAX_DIGITS = 4301
+# rank clears each row by the lcm of its denominators, so its cost follows the
+# digits of the whole point (eight 2,000-digit denominators took 8 s on two
+# cores): the eight entries together may need this many digits as written,
+# one entry at MAX_DIGITS beside seven small ones, under 2 s there
+MAX_POINT_DIGITS = 4400
 _DECIMAL = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:e([-+]?[\d_]+))?\s*", re.I)
 
 
@@ -193,10 +197,7 @@ def _coeff_exprs(cfg: dict) -> dict:
 
 
 def _build_system(cfg: dict, interval):
-    family = _require(cfg, "family")
-    if family not in FAMILIES:
-        raise ConfigError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    return lift_sode(family, _coeff_exprs(cfg), interval=interval)
+    return lift_sode(_require(cfg, "family"), _coeff_exprs(cfg), interval=interval)
 
 
 @contextlib.contextmanager
@@ -452,16 +453,19 @@ def cmd_superpose(args, out=None) -> int:
 # rank
 
 
-def _rational(text: str) -> Fraction:
-    """text as a Fraction, refused first if written out it needs too many digits."""
-    decimal = _DECIMAL.fullmatch(text)  # p/q has no exponent: Python bounds p and q
-    if decimal:
-        whole, frac, exp = (g.replace("_", "") if g else "" for g in decimal.groups())
-        scale = int(exp or 0) - len(frac)  # the value is (whole frac) * 10**scale
-        numerator = len((whole + frac).lstrip("0")) + max(scale, 0)
-        if max(numerator, 1 - min(scale, 0)) > MAX_DIGITS:
-            raise ValueError(f"{text[:20]!r} needs more than {MAX_DIGITS} digits")
-    return Fraction(text)
+def _rational(text: str) -> tuple[Fraction, int]:
+    """text as a Fraction, and the digits of its numerator and denominator
+    written out; refused first if one of them needs more than MAX_DIGITS."""
+    decimal = _DECIMAL.fullmatch(text)
+    if not decimal:  # p/q has no exponent: Python bounds p and q
+        return Fraction(text), sum(c.isdigit() for c in text)
+    whole, frac, exp = (g.replace("_", "") if g else "" for g in decimal.groups())
+    scale = int(exp or 0) - len(frac)  # the value is (whole frac) * 10**scale
+    numerator = len((whole + frac).lstrip("0")) + max(scale, 0)
+    denominator = 1 - min(scale, 0)
+    if max(numerator, denominator) > MAX_DIGITS:
+        raise ValueError(f"{text[:20]!r} needs more than {MAX_DIGITS} digits")
+    return Fraction(text), numerator + denominator
 
 
 def cmd_rank(args, out=None) -> int:
@@ -474,9 +478,12 @@ def cmd_rank(args, out=None) -> int:
         raise ConfigError("--point needs 8 comma-separated rationals "
                           "(x1..x4,v1..v4)")
     try:
-        values = [_rational(p) for p in parts]
+        values, digits = zip(*map(_rational, parts))
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"--point entries must be rationals: {exc}")
+    if sum(digits) > MAX_POINT_DIGITS:
+        raise ConfigError(f"--point entries need {sum(digits)} digits together, "
+                          f"more than {MAX_POINT_DIGITS}")
 
     fields = builtin_fields("sl3-family")
     prolonged = [prolong(X, 4) for X in fields]

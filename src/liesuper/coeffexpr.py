@@ -2,20 +2,25 @@
 
 A ``CoeffExpr`` is a small immutable expression tree over rational constants,
 the variable ``t``, arithmetic, integer powers and sin/cos/exp/sqrt.  It is
-used for the time-dependent ODE coefficients: evaluation is double precision,
-differentiation is exact and symbolic (needed e.g. to build da3/dt when
-deriving the damping coefficient of the canonical Riccati family).
+used for the time-dependent ODE coefficients, and with the state leaves ``x``
+and ``v`` (``StateVar``) for each family's acceleration F(t, x, v) over them:
+evaluation is double precision, differentiation is exact and symbolic (needed
+e.g. to build da3/dt for the damping of the canonical Riccati family).
 
 Evaluation is generated code.  ``compile_many(exprs)`` writes one
-straight-line Python function ``t -> values`` for a tuple of trees: nodes are
-evaluated in tree-walk order (a ``Div`` evaluates its denominator first),
-every structurally repeated subtree is computed once, and every check is
-inline and raises the ``DomainError`` the tree walk would raise, naming the
-first-evaluated node.  Constants (as floats) and nodes are bound as the
-function's globals, never written into the source, so no user text reaches
-the source and the source depends only on the shape of the trees; the
-compiled code is cached by source.  ``CoeffExpr.compiled`` is the one-tree
-case, built on first use and cached on the node; ``eval(t)`` calls it.
+straight-line Python function ``(t) -> values``, or ``(t, x, v) -> values``
+when a tree reads the state, for a tuple of trees: nodes are evaluated in
+tree-walk order (a ``Div`` evaluates its denominator first), every
+structurally repeated subtree is computed once, and every check is inline
+and raises the ``DomainError`` the tree walk would raise, naming the
+first-evaluated node.  A node that reads the state gets no overflow or
+finiteness check: a state too large for the formula ends in the bare
+``OverflowError`` or non-finite value that the integrator reports.
+Constants (as floats) and nodes are bound as the function's globals, never
+written into the source, so no user text reaches the source and the source
+depends only on the shape of the trees; the compiled code is cached by
+source.  ``CoeffExpr.compiled`` is the one-tree case, built on first use and
+cached on the node; ``eval(t)`` calls it.
 
 The companion parser accepts the infix grammar used by the CLI: whitespace
 insensitive, ``^`` for integer powers, ``/`` for division (so rationals are
@@ -35,6 +40,7 @@ __all__ = [
     "CoeffExpr",
     "Const",
     "TimeVar",
+    "StateVar",
     "DomainError",
     "compile_many",
     "ParseError",
@@ -57,6 +63,7 @@ class CoeffExpr:
 
     __slots__ = ("_fn",)
     depth = 1  # levels of the tree from this node down; a leaf is one
+    state = False  # reads x or v: true when any child does
 
     @property
     def compiled(self) -> Callable[[float], float]:
@@ -135,14 +142,32 @@ class TimeVar(CoeffExpr):
         return "t"
 
 
+class StateVar(CoeffExpr):
+    """The position ``x`` or the velocity ``v`` of a right-hand side F(t, x, v)."""
+
+    __slots__ = ("name",)
+    state = True
+
+    def __init__(self, name: str):
+        assert name in ("x", "v")  # written into the kernel's source
+        object.__setattr__(self, "name", name)
+
+    def _emit(self, k):
+        return self.name
+
+    def __str__(self):
+        return self.name
+
+
 class _Binary(CoeffExpr):
-    __slots__ = ("left", "right", "depth")
+    __slots__ = ("left", "right", "depth", "state")
     symbol = "?"
 
     def __init__(self, left: CoeffExpr, right: CoeffExpr):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "depth", 1 + max(left.depth, right.depth))
+        object.__setattr__(self, "state", left.state or right.state)
 
     def _emit(self, k):  # Add, Sub, Mul
         left, right = k.operand(self.left), k.operand(self.right)
@@ -184,31 +209,14 @@ class Div(_Binary):
         return k.emit(self, f"{k.operand(self.left)} / {den}", finite=True)
 
     def diff(self):
-        num = _sub(
-            _mul(self.left.diff(), self.right), _mul(self.left, self.right.diff())
-        )
-        return Div(num, Pow(self.right, 2))
-
-
-class Neg(CoeffExpr):
-    __slots__ = ("arg", "depth")
-
-    def __init__(self, arg: CoeffExpr):
-        object.__setattr__(self, "arg", arg)
-        object.__setattr__(self, "depth", 1 + arg.depth)
-
-    def _emit(self, k):
-        return k.emit(self, f"-{k.operand(self.arg)}")
-
-    def diff(self):
-        return Neg(self.arg.diff())
-
-    def __str__(self):
-        return f"(-{self.arg})"
+        du, dw = self.left.diff(), self.right.diff()
+        if _is_const(dw, 0):  # u/c: squaring c could overflow where c does not
+            return Div(du, self.right)
+        return Div(_sub(_mul(du, self.right), _mul(self.left, dw)), Pow(self.right, 2))
 
 
 class Pow(CoeffExpr):
-    __slots__ = ("base", "exponent", "depth")
+    __slots__ = ("base", "exponent", "depth", "state")
 
     def __init__(self, base: CoeffExpr, exponent: int):
         if not isinstance(exponent, int):
@@ -216,6 +224,7 @@ class Pow(CoeffExpr):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", exponent)
         object.__setattr__(self, "depth", 1 + base.depth)
+        object.__setattr__(self, "state", base.state)
 
     def _emit(self, k):
         base = k.operand(self.base)
@@ -235,18 +244,30 @@ class Pow(CoeffExpr):
 
 
 class _Unary(CoeffExpr):
-    __slots__ = ("arg", "depth")
+    __slots__ = ("arg", "depth", "state")
     fname = "?"
 
     def __init__(self, arg: CoeffExpr):
         object.__setattr__(self, "arg", arg)
         object.__setattr__(self, "depth", 1 + arg.depth)
+        object.__setattr__(self, "state", arg.state)
 
     def _emit(self, k):  # Sin, Cos
         return k.emit(self, f"{self.fname}({k.operand(self.arg)})")
 
     def __str__(self):
         return f"{self.fname}({self.arg})"
+
+
+class Neg(_Unary):
+    def _emit(self, k):
+        return k.emit(self, f"-{k.operand(self.arg)}")
+
+    def diff(self):
+        return Neg(self.arg.diff())
+
+    def __str__(self):
+        return f"(-{self.arg})"
 
 
 class Sin(_Unary):
@@ -333,11 +354,11 @@ class _Source:
     """The lines of one kernel and the globals they read.
 
     ``operand(node)`` is the name that holds the node's value once the lines
-    so far have run: ``t``, a constant or a local.  Nodes are visited in
-    tree-walk order and each distinct expression text is assigned once.  Two
-    subtrees with the same text compute the same value with the same check
-    outcomes, so the first occurrence, which the tree walk would evaluate
-    first, is the one that runs and whose node a failing check names.
+    so far have run: ``t``, ``x``, ``v``, a constant or a local.  Nodes are
+    visited in tree-walk order and each distinct expression text is assigned
+    once.  Two subtrees with the same text compute the same value with the
+    same check outcomes, so the first occurrence, which the tree walk would
+    evaluate first, is the one that runs and whose node a failing check names.
     """
 
     def __init__(self):
@@ -380,12 +401,15 @@ class _Source:
         """The local that holds ``expr``, assigned once with the node's checks.
 
         ``overflow`` maps an OverflowError of the operation, and ``finite`` a
-        non-finite result, to a DomainError naming ``node``.
+        non-finite result, to a DomainError naming ``node``; a node that
+        reads the state gets neither.
         """
         name = self.locals.get(expr)
         if name is not None:
             return name
         name = self.locals[expr] = f"v{len(self.locals)}"
+        if node.state:
+            overflow = finite = False
         if overflow:
             self.lines += ["try:", f"    {name} = {expr}", "except OverflowError:",
                            "    " + self.fail(node, "overflow") + " from None"]
@@ -406,7 +430,9 @@ def _generate(exprs: tuple, single: bool) -> tuple[str, dict[str, object]]:
     values = [k.operand(e) for e in exprs]
     k.lines.append("return " + (
         values[0] if single else "(" + "".join(f"{v}, " for v in values) + ")"))
-    return "def kernel(t):\n" + "".join(f"    {line}\n" for line in k.lines), k.bound
+    params = "t, x, v" if any(e.state for e in exprs) else "t"
+    body = "".join(f"    {line}\n" for line in k.lines)
+    return f"def kernel({params}):\n{body}", k.bound
 
 
 # hit when one process lifts the same shapes again: a sweep over constants,
@@ -424,7 +450,7 @@ def _kernel(exprs: tuple, single: bool) -> Callable:
 
 
 def compile_many(exprs) -> Callable[[float], tuple[float, ...]]:
-    """One generated function ``t -> tuple of values`` for a sequence of trees.
+    """One generated function ``(t)`` or ``(t, x, v)`` -> values, for some trees.
 
     The trees are evaluated in order, each in tree-walk order, and the first
     failing check raises the DomainError (node, reason, t) that evaluating

@@ -12,12 +12,12 @@ finite-time blow-up, so step-size underflow is reported as ``BlowUp`` rather
 than ground through; stiff problems, whose steps shrink without underflowing,
 end in ``StepBudgetExceeded`` once ``STEP_BUDGET`` is spent.
 
-The right-hand side of each lifted family reads all its coefficients at a
-stage from one generated straight-line kernel (``coeffexpr.compile_many``),
-so a subtree shared by several coefficients, such as a3 and sqrt(a3) in the
-Riccati damping, is evaluated once per stage.  The kernel is generated when
-the system is lifted, and its compiled code is cached by the shape of the
-coefficient trees.
+Each family is one row of ``FAMILIES``: its coefficients with their defaults
+and its acceleration F(t, x, v), written once as a ``CoeffExpr`` tree.  The
+right-hand side (t, x, v) -> (v, F) is generated from that tree
+(``coeffexpr.compile_many``) when the system is lifted, so it evaluates in
+the formula's order, and a subtree shared by several coefficients, such as
+a3 and sqrt(a3) in the Riccati damping, once per stage.
 
 An independent finite-difference residual oracle is provided to check that a
 trajectory (however it was produced) actually satisfies its equation.
@@ -29,7 +29,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .coeffexpr import CoeffExpr, Const, Sqrt, compile_many, parse_expr
+from .coeffexpr import (CoeffExpr, Const, Neg, Sqrt, StateVar, compile_many,
+                        parse_expr)
 
 __all__ = [
     "ConstraintViolation",
@@ -46,8 +47,6 @@ __all__ = [
     "residual",
 ]
 
-FAMILIES = ("mdpi", "exam2", "general", "riccati")
-
 # how far below the window length the step size may shrink before we call it
 # a blow-up; no lifespan policy is prescribed for these equations, so this
 # threshold is our own convention
@@ -59,6 +58,8 @@ STEP_BUDGET = 100_000
 
 # a3 > 0 is checked at the A3_PANELS + 1 ends of equal panels of the window
 A3_PANELS = 64
+
+X, V = StateVar("x"), StateVar("v")
 
 
 class ConstraintViolation(ValueError):
@@ -145,37 +146,36 @@ def _check_riccati_constraints(a3: CoeffExpr, interval):
             raise ConstraintViolation("a3(t) > 0", t)
 
 
+# family -> (its coefficients with their defaults, its acceleration F(t, x, v)
+# as a tree over them).  The Riccati acceleration also reads the damping b0,
+# b1, which lift_sode derives from a2 and a3.
+FAMILIES = {
+    "mdpi": ({"f": 0}, lambda f: Const(-3) * X * V - X**3 + f),
+    "exam2": ({"lam1": 0}, lambda lam1: Const(-3) * X * V - X**3 - lam1 * X),
+    "general": ({"f": 0, "g": 0, "h": 0},
+                lambda f, g, h: Const(-3) * X * V - X**3 - f * (V + X**2) - g * X - h),
+    "riccati": ({"a0": 0, "a1": 0, "a2": 0, "a3": 1},
+                lambda a0, a1, a2, a3, b0, b1:
+                Neg(b0 + b1 * X) * V - a0 - a1 * X - a2 * X**2 - a3 * X**3),
+}
+
+
+def _system(family: str, coeffs: dict[str, CoeffExpr]) -> FirstOrderSystem:
+    """The lift whose rhs (t, x, v) -> (v, F) is generated from F's tree."""
+    accel = FAMILIES[family][1](**coeffs)
+    return FirstOrderSystem(family, compile_many((V, accel)), coeffs)
+
+
 def riccati_system(a0: CoeffExpr, a1: CoeffExpr, a2: CoeffExpr, a3: CoeffExpr,
                    b0: CoeffExpr, b1: CoeffExpr) -> FirstOrderSystem:
     """The Riccati-family lift vdot = -(b0+b1*x)v - a0 - a1*x - a2*x^2 - a3*x^3.
 
     Checks no constraint and takes b0, b1 as given: ``lift_sode`` passes the
     derived ones, ``RiccatiCoeffs.system`` may pass a replacement b0 as a
-    negative control.  The kernel computes a3 with the other coefficients,
-    while the formula reads a3 only after ``x**2``; when ``x**2`` overflows,
-    just b0, b1, a0, a1 and a2 are evaluated before it raises, so the first
-    error is the formula's for any b0 and b1.
+    negative control.
     """
-    read_before_x2 = (b0, b1, a0, a1, a2)
-    kernel = compile_many((*read_before_x2, a3))
-
-    def rhs(t, x, v):
-        try:
-            x2 = x**2
-        except OverflowError:
-            for e in read_before_x2:
-                e.eval(t)
-            raise
-        b0_t, b1_t, a0_t, a1_t, a2_t, a3_t = kernel(t)
-        return (
-            v,
-            -(b0_t + b1_t * x) * v
-            - a0_t - a1_t * x - a2_t * x2 - a3_t * x**3,
-        )
-
-    return FirstOrderSystem(
-        "riccati", rhs, {"a0": a0, "a1": a1, "a2": a2, "a3": a3, "b0": b0, "b1": b1}
-    )
+    return _system("riccati", {"a0": a0, "a1": a1, "a2": a2, "a3": a3,
+                               "b0": b0, "b1": b1})
 
 
 def lift_sode(family: str, coeffs: dict | None = None,
@@ -190,51 +190,28 @@ def lift_sode(family: str, coeffs: dict | None = None,
         with the derived b0, b1 (see ``riccati_damping``); requires a3(0)=1
         and a3 > 0 sampled over ``interval``.
 
-    Coefficient values may be CoeffExpr trees, expression strings, or numbers.
-    Each right-hand side reads its coefficients from one generated kernel
-    (``coeffexpr.compile_many``; one coefficient: ``CoeffExpr.compiled``),
-    generated here, in the order the formula reads them.
+    Coefficient values may be CoeffExpr trees, expression strings, or numbers;
+    a missing one takes its default (a3 = 1, the others 0), and a name the
+    family does not have is a ValueError.  The right-hand side is one
+    generated function (``coeffexpr.compile_many``) of the acceleration's
+    tree, so it evaluates in the formula's order.
     """
-    coeffs = {k: _as_expr(v) for k, v in (coeffs or {}).items()}
-
-    def get(name, default=0):
-        return coeffs.get(name, Const(default))
-
-    if family == "mdpi":
-        f_expr = get("f")
-        f = f_expr.compiled
-
-        def rhs(t, x, v):
-            return (v, -3.0 * x * v - x**3 + f(t))
-
-        return FirstOrderSystem("mdpi", rhs, {"f": f_expr})
-
-    if family == "exam2":
-        lam1_expr = get("lam1")
-        lam1 = lam1_expr.compiled
-
-        def rhs(t, x, v):
-            return (v, -3.0 * x * v - x**3 - lam1(t) * x)
-
-        return FirstOrderSystem("exam2", rhs, {"lam1": lam1_expr})
-
-    if family == "general":
-        exprs = {"f": get("f"), "g": get("g"), "h": get("h")}
-        kernel = compile_many(exprs.values())
-
-        def rhs(t, x, v):
-            x3 = x**3  # can overflow, and the formula reads it before f(t)
-            f, g, h = kernel(t)
-            return (v, -3.0 * x * v - x3 - f * (v + x**2) - g * x - h)
-
-        return FirstOrderSystem("general", rhs, exprs)
-
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; "
+                         f"expected one of {tuple(FAMILIES)}")
+    defaults, coeffs = FAMILIES[family][0], coeffs or {}
+    for name in coeffs:
+        if name not in defaults:
+            raise ValueError(f"family {family!r} has no coefficient {name!r}; "
+                             f"its coefficients are {', '.join(defaults)}")
+    # parsed in the order given: the first bad expression is the one reported
+    given = {name: _as_expr(c) for name, c in coeffs.items()}
+    exprs = {name: given.get(name, Const(default))
+             for name, default in defaults.items()}
     if family == "riccati":
-        a0, a1, a2, a3 = get("a0"), get("a1"), get("a2"), get("a3", 1)
-        _check_riccati_constraints(a3, interval)
-        return riccati_system(a0, a1, a2, a3, *riccati_damping(a2, a3))
-
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        _check_riccati_constraints(exprs["a3"], interval)
+        exprs["b0"], exprs["b1"] = riccati_damping(exprs["a2"], exprs["a3"])
+    return _system(family, exprs)
 
 
 @dataclass

@@ -185,6 +185,37 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "non-finite" in err
 
+    @pytest.mark.parametrize("family", odeint.FAMILIES)
+    def test_overflowing_state_exit4_in_every_family(self, tmp_path, capsys, family):
+        cfg = dict(SOLVE_BASE, family=family, coefficients={}, initial=[1e200, 0])
+        code = main(["solve", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert code == 4
+        assert capsys.readouterr().err == "error: non-finite right-hand side at t=0.0\n"
+
+    @pytest.mark.parametrize("family,coefficients,allowed", [
+        ("exam2", {"lam": "5"}, "lam1"),  # integrated with lam1 = 0 before
+        ("riccati", {"b0": "5"}, "a0, a1, a2, a3"),  # b0 is derived: was ignored
+    ])
+    def test_unknown_coefficient_exit2(self, tmp_path, capsys, monkeypatch,
+                                       family, coefficients, allowed):
+        integrations = count_integrations(monkeypatch)
+        cfg = dict(SOLVE_BASE, family=family, coefficients=coefficients)
+        code = main(["solve", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert code == 2
+        [name] = coefficients
+        assert capsys.readouterr().err == (
+            f"error: family {family!r} has no coefficient {name!r}; "
+            f"its coefficients are {allowed}\n")
+        assert integrations == []
+
+    def test_a3_over_a_large_constant_exit0(self, tmp_path, capsys):
+        # a3' = 1/10^200; the quotient rule squared 10^200 and overflowed
+        cfg = dict(SOLVE_BASE, family="riccati",
+                   coefficients={"a3": "1 + t/10^200"}, points=11)
+        code = main(["solve", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
     def test_constraint_violation_exit4(self, tmp_path):
         cfg = {
             "family": "riccati",

@@ -27,6 +27,7 @@ from liesuper.coeffexpr import (
     compile_many,
     parse_expr,
 )
+from liesuper import odeint
 from liesuper.odeint import lift_sode
 from reference import tree_eval
 
@@ -245,6 +246,29 @@ class TestCompileMany:
             got = sys.rhs(t, x, v)
             assert [z.hex() for z in got] == [v.hex(), accel(x, v, *coeffs).hex()]
 
+    @pytest.mark.parametrize("family", sorted(_FORMULAS))
+    def test_state_values_carry_no_check(self, family):
+        # a value that reads x or v gets no try/except and no isfinite line,
+        # so a state too large for the formula reaches the integrator as an
+        # OverflowError or a non-finite value; coefficient values keep theirs
+        sys = lift_sode(family, _DISTINCT_COEFFS[family])
+        accel = odeint.FAMILIES[family][1](**sys.coeffs)
+        source, _ = _generate((odeint.V, accel), single=False)
+        lines = source.splitlines()
+        assert lines[0] == "def kernel(t, x, v):"
+        state, checked = {"x", "v"}, []
+        for before, line in zip(lines, lines[1:]):
+            assigned = re.match(r" +(v\d+) = (.*)", line)
+            if assigned and state & set(re.findall(r"\w+", assigned[2])):
+                state.add(assigned[1])
+                checked += [line] if before.strip() == "try:" else []
+            tested = re.search(r"isfinite\((\w+)\)", line)
+            checked += [line] if tested and tested[1] in state else []
+        assert checked == []
+        # the acceleration itself reads the state; the coefficients keep checks
+        assert re.fullmatch(r" +return \(v, (v\d+), \)", lines[-1])[1] in state
+        assert "isfinite(" in source
+
 
 class TestDiff:
     @pytest.mark.parametrize(
@@ -264,6 +288,14 @@ class TestDiff:
         d = Sqrt(Const(1) + TimeVar() ** 2).diff()
         for t in (0.0, 1.0, 3.0):
             assert d.eval(t) == pytest.approx(t / math.sqrt(1 + t**2), rel=1e-14)
+
+    def test_constant_denominator_is_not_squared(self):
+        # d/dt (t/10^200) is 1/10^200: the full quotient rule squared 10^200,
+        # an overflow that made a valid Riccati a3 exit 2
+        d = parse_expr("1 + t/10^200").diff()
+        assert "^2)" not in str(d)
+        assert d.eval(0.5) == pytest.approx(1e-200, rel=1e-15)
+        lift_sode("riccati", {"a3": "1 + t/10^200"}).rhs(0.5, 1.0, 0.0)
 
     @given(st.floats(min_value=-3, max_value=3, allow_nan=False))
     def test_polynomial_diff_everywhere(self, t):

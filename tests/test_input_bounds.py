@@ -1,6 +1,7 @@
 """Inputs whose size a short text hides end in exit 2 with one line, quickly."""
 
 import json
+import random
 import time
 
 import pytest
@@ -36,6 +37,21 @@ class TestRankDigits:
     def test_largest_entries_still_give_a_result(self, capsys, entry):
         assert main(["rank", "--point", entry + REST]) == 0
         assert capsys.readouterr().out.startswith("rank = 8\n")
+
+
+class TestRankPointDigits:
+    def test_point_needing_too_many_digits_together_exit2(self, capsys):
+        # each entry is within MAX_DIGITS, but the eight denominators together
+        # ran for 8 s: rows are cleared by the lcm of their denominators
+        rng = random.Random(2000)
+        point = ",".join(f"1/{rng.randrange(10**1999, 10**2000)}" for _ in range(8))
+        start = time.perf_counter()
+        assert main(["rank", "--point", point]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --point entries need 16008 digits together, "
+                                f"more than {cli.MAX_POINT_DIGITS}\n")
 
 
 NESTED = {

@@ -87,6 +87,34 @@ class TestLift:
             b0_fails.rhs(0.5, 1e200, 0.0)
         assert exc.value.node is bad and exc.value.t == 0.5
 
+    def test_unknown_coefficient_names_the_allowed_ones(self):
+        with pytest.raises(ValueError, match="no coefficient 'lam'; .* are lam1$"):
+            lift_sode("exam2", {"lam": "5"})
+        # b0 is derived from a2 and a3: setting it is refused, not ignored
+        with pytest.raises(ValueError, match="'b0'; .* are a0, a1, a2, a3$"):
+            lift_sode("riccati", {"b0": "5"})
+
+    @pytest.mark.parametrize("family,name,first_at_huge_x", [
+        ("mdpi", "f", OverflowError),  # x**3 is read before f
+        ("exam2", "lam1", OverflowError),
+        ("general", "f", OverflowError),
+        ("general", "h", OverflowError),
+        ("riccati", "a0", DomainError),  # a0, a1, a2 are read before x**2
+        ("riccati", "a2", DomainError),
+    ])
+    def test_failing_coefficient_names_its_own_node(self, family, name,
+                                                    first_at_huge_x):
+        # the coefficient trees sit inside the acceleration's tree: a failure
+        # names the coefficient's node and the stage's t, in the formula's order
+        sys = lift_sode(family, {name: "1/(t - 1/2)"})
+        with pytest.raises(DomainError) as exc:
+            sys.rhs(0.5, 1.0, 0.0)
+        assert (exc.value.node, exc.value.t) == (sys.coeffs[name], 0.5)
+        assert exc.value.reason == "division by zero"
+        with pytest.raises(first_at_huge_x):
+            sys.rhs(0.5, 1e200, 0.0)
+        assert all(map(math.isfinite, sys.rhs(0.25, 1.0, 0.0)))
+
 
 class TestIntegrate:
     def test_against_closed_form(self):
