@@ -10,7 +10,7 @@ computation rather than trusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -18,6 +18,7 @@ from .exactpoly import (
     Elimination,
     Polynomial,
     VectorField,
+    _scalar,
     lie_bracket,
 )
 
@@ -90,19 +91,13 @@ def builtin_fields(which: str) -> list[VectorField]:
     raise ValueError(f"unknown family {which!r}")
 
 
-def _entry(x) -> int | Fraction:
-    """x as an exact rational: an int when integral, else a Fraction."""
-    x = x if isinstance(x, int) else Fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
 class Matrix3:
     """Exact 3x3 rational matrix; entries are ints when integral, else Fractions."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows: Sequence[Sequence[int | Fraction]]):
-        rows = tuple(tuple(_entry(x) for x in r) for r in rows)
+        rows = tuple(tuple(_scalar(x) for x in r) for r in rows)
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("Matrix3 needs a 3x3 array of rationals")
         object.__setattr__(self, "rows", rows)
@@ -271,13 +266,7 @@ class CheckRecord:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "expected": self.expected,
-            "computed": self.computed,
-            "status": self.status,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -319,22 +308,22 @@ class Report:
         }
 
 
-def _coeff_str(coeffs: dict[int, Fraction] | Sequence[Fraction]) -> str:
-    if isinstance(coeffs, dict):
-        items = sorted(coeffs.items())
-    else:
-        items = [(i + 1, c) for i, c in enumerate(coeffs) if c]
+def _add_not_closed(report: Report, exc: NotClosed, note: str = "") -> None:
+    """Record the first bracket of X1..X8 that fell outside their span."""
+    a, b = exc.pair
+    report.add(f"[X{a},X{b}]", "closed bracket", "outside span", False, note)
+
+
+def _dense(printed: dict[int, Fraction], n: int) -> list[Fraction]:
+    """A printed sparse relation as the dense vector Elimination.solve gives."""
+    return [printed.get(i, 0) for i in range(1, n + 1)]
+
+
+def _coeff_str(coeffs: Sequence[Fraction]) -> str:
+    items = [(i + 1, c) for i, c in enumerate(coeffs) if c]
     if not items:
         return "0"
     return " + ".join(f"({c})*e{i}" for i, c in items)
-
-
-def _coeffs_match(
-    computed: Sequence[Fraction], printed: dict[int, Fraction]
-) -> bool:
-    return all(
-        computed[i] == printed.get(i + 1, 0) for i in range(len(computed))
-    )
 
 
 def verify_paper_table(fields: Sequence[VectorField] | None = None) -> Report:
@@ -348,21 +337,16 @@ def verify_paper_table(fields: Sequence[VectorField] | None = None) -> Report:
     try:
         table = structure_constants(basis)
     except NotClosed as exc:
-        report.add(
-            f"[X{exc.pair[0]},X{exc.pair[1]}]",
-            "closed bracket",
-            "outside span",
-            False,
-            note=f"bracket = {exc.bracket}",
-        )
+        _add_not_closed(report, exc, note=f"bracket = {exc.bracket}")
         return report
     for pair, printed in PRINTED_SL3_TABLE.items():
         computed = table[pair]
+        expected = _dense(printed, len(computed))
         report.add(
             f"[X{pair[0]},X{pair[1]}]",
-            _coeff_str(printed),
+            _coeff_str(expected),
             _coeff_str(computed),
-            _coeffs_match(computed, printed),
+            computed == expected,
         )
     return report
 
@@ -388,12 +372,7 @@ def verify_isomorphism(fields: Sequence[VectorField] | None = None) -> Report:
     try:
         vf_table = structure_constants(basis)
     except NotClosed as exc:
-        report.add(
-            f"[X{exc.pair[0]},X{exc.pair[1]}]",
-            "closed bracket",
-            "outside span",
-            False,
-        )
+        _add_not_closed(report, exc)
         return report
 
     n = len(mats)
@@ -402,22 +381,13 @@ def verify_isomorphism(fields: Sequence[VectorField] | None = None) -> Report:
             mb = matrix_bracket(mats[a], mats[b])
             mc = span.solve(dict(enumerate(mb.flat())))
             xc = vf_table[(a + 1, b + 1)]
-            ok = mc is not None and list(mc) == list(xc)
             report.add(
                 f"[M{a+1},M{b+1}] vs [X{a+1},X{b+1}]",
                 _coeff_str(xc),
                 _coeff_str(mc) if mc is not None else "outside span",
-                ok,
+                mc == xc,
             )
     return report
-
-
-def ad_power(Z: VectorField, X: VectorField, k: int) -> VectorField:
-    """k-fold iterated bracket ad_Z^k(X) = [Z, [Z, ... [Z, X]]]."""
-    out = X
-    for _ in range(k):
-        out = lie_bracket(Z, out)
-    return out
 
 
 def verify_scheme() -> Report:
@@ -443,19 +413,20 @@ def verify_scheme() -> Report:
     for (w, j), printed in PRINTED_SCHEME_TABLE.items():
         bracket = lie_bracket(Y[w - 1], Y[j - 1])
         coeffs = span.solve(bracket.slots())
-        ok = coeffs is not None and _coeffs_match(coeffs, printed)
+        expected = _dense(printed, len(Y))
         report.add(
             f"[Y{w},Y{j}]",
-            _coeff_str(printed),
+            _coeff_str(expected),
             _coeff_str(coeffs) if coeffs is not None else "outside span",
-            ok,
+            coeffs == expected,
         )
 
     coords = XV_COORDS
     x = Polynomial.variable("x", coords)
     zero = Polynomial.zero(coords)
+    ad = Y[5]
     for k in range(1, WITNESS_DEPTH + 1):
-        ad = ad_power(Y[2], Y[5], k)
+        ad = lie_bracket(Y[2], ad)  # ad_Y3^k(Y6) from ad_Y3^(k-1)(Y6)
         expected = VectorField([zero, ((-1) ** k) * x ** (k + 2)], coords)
         report.add(
             f"ad_Y3^{k}(Y6)",

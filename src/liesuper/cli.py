@@ -47,6 +47,7 @@ from .exactpoly import Polynomial, VectorField, prolong, rank_at
 from .odeint import (
     BlowUp,
     ConstraintViolation,
+    GridTooCoarse,
     NonFinite,
     StepBudgetExceeded,
     Trajectory,
@@ -229,6 +230,15 @@ def _check_writable(*paths: str | None) -> None:
             f"cannot write {path}: {OSError(code, os.strerror(code), path)}")
 
 
+def _fd_residual(sys_, traj: Trajectory) -> float | None:
+    """The FD residual of traj, or None where that oracle does not apply
+    (fewer than 7 points, or a grid that is not uniform)."""
+    try:
+        return residual(sys_, traj)
+    except GridTooCoarse:
+        return None
+
+
 def _write_report(path: str | None, report_dict: dict, out) -> None:
     if path:
         with _writing(path), open(path, "w") as fh:
@@ -318,7 +328,6 @@ def cmd_solve(args, out=None) -> int:
         for t, (x, v) in zip(traj.times, traj.states):
             print(f"{t:.17g},{x:.17g},{v:.17g}", file=out)
 
-    res = residual(sys_, traj) if len(traj) >= 7 else None
     _write_report(
         cfg.get("report"),
         {
@@ -327,7 +336,7 @@ def cmd_solve(args, out=None) -> int:
             "tol": tol,
             "steps": traj.steps,
             "grid_points": len(traj),
-            "fd_residual": res,
+            "fd_residual": _fd_residual(sys_, traj),
             "status": traj.status,
         },
         out,
@@ -440,8 +449,7 @@ def cmd_superpose(args, out=None) -> int:
             for a, b in zip(result.trajectory.states[i_fit:], reference.states)
         )
         report["max_error_vs_reference"] = max_err
-        if len(result.trajectory) >= 7:
-            report["fd_residual"] = residual(sys_, result.trajectory)
+        report["fd_residual"] = _fd_residual(sys_, result.trajectory)
         print(f"max error vs directly integrated target: {max_err:.3e}", file=out)
     print(f"lam1={result.lam1:.12g} lam2={result.lam2:.12g} "
           f"min|den|={result.min_denominator:.3e}", file=out)
@@ -510,8 +518,22 @@ def cmd_rank(args, out=None) -> int:
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors are ConfigErrors, so that main prints
+    them as one ``error:`` line and exits 2."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # an argument that starts like a negative number is a value, as in
+        # --point -1,2,...; no option of this command line starts with a digit
+        self._negative_number_matcher = re.compile(r"-[\d.]")
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="liesuper",
         description="verify the sl(3,R) structure and run superposition rules",
     )
@@ -545,8 +567,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, ParseError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -55,6 +55,19 @@ class TestStructureConstants:
         assert exc.value.pair == (1, 4)
         assert len(pairs) == 3
 
+    def test_scheme_builds_each_witness_bracket_once(self, monkeypatch):
+        # [Y2,Y8], the 16 printed [W,V] entries, then one bracket per witness
+        # ad_Y3^k(Y6): each iterate is built from the one before it
+        pairs = []
+
+        def counting_bracket(X, Y):
+            pairs.append((X, Y))
+            return lie_bracket(X, Y)
+
+        monkeypatch.setattr(algebra, "lie_bracket", counting_bracket)
+        assert verify_scheme().passed
+        assert len(pairs) == 1 + 16 + algebra.WITNESS_DEPTH == 23
+
 
 class TestReports:
     def test_paper_table_report_passes(self):

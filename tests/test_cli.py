@@ -91,6 +91,19 @@ class TestSolve:
         report = json.loads((tmp_path / "r.json").read_text())
         assert report["fd_residual"] < 1e-5
 
+    def test_non_uniform_float_grid_reports_null_residual(self, tmp_path, capsys):
+        # at t ~ 1e14 the float grid steps are not equal, so the FD residual
+        # oracle does not apply: the finished run still writes its report
+        cfg = dict(SOLVE_BASE, interval=[100000000000000, 100000000000001],
+                   points=11, output=str(tmp_path / "traj.csv"),
+                   report=str(tmp_path / "r.json"))
+        code = main(["solve", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["fd_residual"] is None
+        assert report["grid_points"] == 11
+
     def test_deterministic_reruns(self, tmp_path):
         out_csv = tmp_path / "traj.csv"
         cfg = dict(SOLVE_BASE, output=str(out_csv))
@@ -410,6 +423,28 @@ class TestSuperpose:
         assert code == 0
         assert (tmp_path / "rec.csv").exists()
 
+    def test_non_uniform_inputs_report_null_residual(self, tmp_path, capsys):
+        # the reconstruction runs on the inputs' 12-point grid, which is not
+        # uniform: the FD residual does not apply, and the report says null
+        from conftest import sample_generic_ics
+
+        ics = sample_generic_ics(29, 5)
+        sys_ = odeint.lift_sode("mdpi", {"f": "0"})
+        grid = [(i / 11) ** 1.5 for i in range(12)]
+        paths = []
+        for i, ic in enumerate(ics[:4]):
+            paths.append(str(tmp_path / f"p{i}.csv"))
+            odeint.integrate(sys_, ic, 0.0, grid, 1e-10).to_csv(paths[-1])
+        cfg = {"family": "mdpi", "interval": [0, 1], "inputs": paths,
+               "target": list(ics[4]), "output": str(tmp_path / "rec.csv"),
+               "report": str(tmp_path / "rec.json")}
+        code = main(["superpose", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "rec.json").read_text())
+        assert report["fd_residual"] is None
+        assert report["max_error_vs_reference"] < 1e-6
+
     @pytest.mark.parametrize("fit", [{"constants": [0.25, 0.65]},
                                      {"target": [0.1, 0.2]}])
     def test_header_only_inputs_exit2(self, tmp_path, capsys, fit):
@@ -643,6 +678,14 @@ class TestRank:
         assert "rank = 6" in out
         assert "degenerate" in out
 
+    def test_negative_first_entry_is_a_value(self, capsys):
+        point = "-1,1,2,3,4,5,6,7"
+        assert main(["rank", f"--point={point}"]) == 0
+        expected = capsys.readouterr()
+        assert main(["rank", "--point", point]) == 0
+        assert capsys.readouterr() == expected
+        assert "rank = 8" in expected.out
+
     def test_bad_point_exit2(self, capsys):
         assert main(["rank", "--point", "1,2,3"]) == 2
         assert main(["rank", "--point", "1,2,3,4,5,6,7,z"]) == 2
@@ -658,3 +701,27 @@ class TestRank:
             "rank = 8\n"
             "genericity product F123*F124*F134*F234 is outside the float range"
             " (nonzero: generic)\n")
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["frobnicate"],
+        ["solve"],
+        ["superpose", "--config"],
+        ["verify", "--bogus"],
+        ["rank"],
+        ["rank", "--point", "1,2,3,4,5,6,7,8", "extra"],
+    ])
+    def test_exit2_with_one_error_line(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["rank", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: liesuper")
