@@ -1,6 +1,9 @@
 """Public surface: every exported name of every module resolves."""
 
 import importlib
+import importlib.util
+import inspect
+import pathlib
 
 import pytest
 
@@ -21,3 +24,38 @@ def test_all_names_resolve(name):
 def test_package_imports():
     package = importlib.import_module("liesuper")
     assert package.__version__
+
+
+def _bindings() -> dict:
+    """Every name bound by a liesuper module or by a class defined in one."""
+    seen = {}
+    for name in MODULES:
+        module = importlib.import_module(f"liesuper.{name}")
+        for owner in [module] + [c for _, c in inspect.getmembers(module, inspect.isclass)
+                                 if c.__module__ == module.__name__]:
+            seen.update({(owner, attr): value for attr, value in vars(owner).items()})
+    return seen
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
+    # the traced benchmark run (perfbench/run.py --trace 1) wraps liesuper's
+    # functions and methods by name; a deleted or renamed one fails install
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    package = importlib.import_module("liesuper")
+    before = _bindings()
+    tracer = spans.Tracer(package)
+    try:
+        tracer.install()
+        # the tracer rebuilds each lift with dataclasses.replace
+        sys_ = importlib.import_module("liesuper.odeint").lift_sode("mdpi")
+        assert sys_.rhs(0.0, 1.0, 0.0) == (0.0, -1.0)
+        assert tracer.stat("odeint.lift_sode")[0] == 1
+        assert tracer.stat("odeint.rhs")[0] == 1
+    finally:
+        tracer.uninstall()
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())

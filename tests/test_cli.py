@@ -104,6 +104,16 @@ class TestSolve:
         assert report["fd_residual"] is None
         assert report["grid_points"] == 11
 
+    def test_stdout_csv_is_the_to_csv_format(self, tmp_path, capsys):
+        # with no output file the trajectory goes to stdout, byte for byte
+        # what Trajectory.to_csv writes for the same config
+        assert main(["solve", "--config",
+                     write_config(tmp_path, "c.json", SOLVE_BASE)]) == 0
+        printed = capsys.readouterr().out
+        cfg = dict(SOLVE_BASE, output=str(tmp_path / "traj.csv"))
+        assert main(["solve", "--config", write_config(tmp_path, "o.json", cfg)]) == 0
+        assert printed.encode() == (tmp_path / "traj.csv").read_bytes()
+
     def test_deterministic_reruns(self, tmp_path):
         out_csv = tmp_path / "traj.csv"
         cfg = dict(SOLVE_BASE, output=str(out_csv))
