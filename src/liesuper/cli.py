@@ -14,13 +14,14 @@ code  meaning
 6     integration step budget exceeded (likely stiff; t reported)
 ====  =====================================================
 
-Every run writes a machine-readable JSON report next to its primary output;
-re-running with the same config reproduces identical outputs.  The
-environment variables ``LIESUPER_TOL`` and ``LIESUPER_EPS_GEN`` override the
-default integrator tolerance and genericity guard when the config does not
-set them explicitly.  ``tol`` must be finite and positive, ``eps_gen`` finite
-and non-negative, wherever they come from; anything else exits 2 before any
-integration.
+``solve`` and ``superpose`` write a machine-readable JSON report only when
+the config names one under ``report``; ``verify`` writes its text and JSON
+reports only with ``--output-dir``.  Re-running with the same config
+reproduces identical outputs.  The environment variables ``LIESUPER_TOL``
+and ``LIESUPER_EPS_GEN`` override the default integrator tolerance and
+genericity guard when the config does not set them explicitly.  ``tol``
+must be finite and positive, ``eps_gen`` finite and non-negative, wherever
+they come from; anything else exits 2 before any integration.
 """
 
 from __future__ import annotations
@@ -188,9 +189,7 @@ def _grid(cfg: dict) -> tuple[float, float, list[float]]:
 
 def _coeff_exprs(cfg: dict) -> dict:
     coeffs = cfg.get("coefficients", {})
-    if not isinstance(coeffs, dict) or not all(
-        isinstance(c, str) or _finite_number(c) for c in coeffs.values()
-    ):
+    if not all(isinstance(c, str) or _finite_number(c) for c in coeffs.values()):
         raise ConfigError(
             "coefficients must be an object of name -> expression or finite number"
         )
@@ -239,12 +238,11 @@ def _fd_residual(sys_, traj: Trajectory) -> float | None:
         return None
 
 
-def _write_report(path: str | None, report_dict: dict, out) -> None:
-    if path:
-        with _writing(path), open(path, "w") as fh:
-            json.dump(report_dict, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"report written to {path}", file=out)
+def _write_report(path: str, report_dict: dict) -> None:
+    with _writing(path), open(path, "w") as fh:
+        json.dump(report_dict, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"report written to {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +305,7 @@ _SOLVE_KEYS = {
 }
 
 
-def cmd_solve(args, out=None) -> int:
+def cmd_solve(args) -> int:
     """Integrate one configured equation and write the trajectory CSV."""
     cfg = _load_config(args.config, _SOLVE_KEYS)
     t0, t1, grid = _grid(cfg)
@@ -322,15 +320,15 @@ def cmd_solve(args, out=None) -> int:
     if output:
         with _writing(output):
             traj.to_csv(output)
-        print(f"trajectory written to {output}", file=out)
+        print(f"trajectory written to {output}")
     else:
-        print("t,x,v", file=out)
+        print("t,x,v")
         for t, (x, v) in zip(traj.times, traj.states):
-            print(f"{t:.17g},{x:.17g},{v:.17g}", file=out)
+            print(f"{t:.17g},{x:.17g},{v:.17g}")
 
-    _write_report(
-        cfg.get("report"),
-        {
+    report = cfg.get("report")
+    if report:
+        _write_report(report, {
             "command": "solve",
             "family": sys_.family,
             "tol": tol,
@@ -338,9 +336,7 @@ def cmd_solve(args, out=None) -> int:
             "grid_points": len(traj),
             "fd_residual": _fd_residual(sys_, traj),
             "status": traj.status,
-        },
-        out,
-    )
+        })
     return EXIT_OK
 
 
@@ -387,7 +383,7 @@ def _particular_trajectories(cfg: dict, sys_, t0, grid, tol) -> list[Trajectory]
     return trajs
 
 
-def cmd_superpose(args, out=None) -> int:
+def cmd_superpose(args) -> int:
     """Reconstruct a solution from four particular ones; write CSV + report."""
     cfg = _load_config(args.config, _SUPERPOSE_KEYS)
     t0, t1, grid = _grid(cfg)
@@ -427,18 +423,8 @@ def cmd_superpose(args, out=None) -> int:
     if output:
         with _writing(output):
             result.trajectory.to_csv(output)
-        print(f"reconstruction written to {output}", file=out)
+        print(f"reconstruction written to {output}")
 
-    report = {
-        "command": "superpose",
-        "family": sys_.family,
-        "tol": tol,
-        "eps_gen": eps_gen,
-        **result.to_dict(),
-        "genericity_product_at_start": genericity_product(
-            [traj.states[0] for traj in trajs]
-        ),
-    }
     if target is not None:
         # the reference starts from the target where it was fitted, and the
         # integrator runs forward only: compare from the fitting time on
@@ -448,12 +434,26 @@ def cmd_superpose(args, out=None) -> int:
             max(abs(a[0] - b[0]), abs(a[1] - b[1]))
             for a, b in zip(result.trajectory.states[i_fit:], reference.states)
         )
-        report["max_error_vs_reference"] = max_err
-        report["fd_residual"] = _fd_residual(sys_, result.trajectory)
-        print(f"max error vs directly integrated target: {max_err:.3e}", file=out)
+        print(f"max error vs directly integrated target: {max_err:.3e}")
     print(f"lam1={result.lam1:.12g} lam2={result.lam2:.12g} "
-          f"min|den|={result.min_denominator:.3e}", file=out)
-    _write_report(cfg.get("report"), report, out)
+          f"min|den|={result.min_denominator:.3e}")
+
+    report = cfg.get("report")
+    if report:
+        fields = {
+            "command": "superpose",
+            "family": sys_.family,
+            "tol": tol,
+            "eps_gen": eps_gen,
+            **result.to_dict(),
+            "genericity_product_at_start": genericity_product(
+                [traj.states[0] for traj in trajs]
+            ),
+        }
+        if target is not None:
+            fields["max_error_vs_reference"] = max_err
+            fields["fd_residual"] = _fd_residual(sys_, result.trajectory)
+        _write_report(report, fields)
     return EXIT_OK
 
 
@@ -476,7 +476,7 @@ def _rational(text: str) -> tuple[Fraction, int]:
     return Fraction(text), numerator + denominator
 
 
-def cmd_rank(args, out=None) -> int:
+def cmd_rank(args) -> int:
     """Exact rank of the prolonged fields on four copies at a rational point.
 
     The point is x1,x2,x3,x4,v1,v2,v3,v4 (8 comma-separated rationals).
@@ -509,8 +509,8 @@ def cmd_rank(args, out=None) -> int:
         shown = "is outside the float range"
     else:
         shown = f"= {approx:.12g}"
-    print(f"rank = {rank}", file=out)
-    print(f"genericity product F123*F124*F134*F234 {shown} ({verdict})", file=out)
+    print(f"rank = {rank}")
+    print(f"genericity product F123*F124*F134*F234 {shown} ({verdict})")
     return EXIT_OK
 
 

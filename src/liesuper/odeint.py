@@ -42,7 +42,6 @@ __all__ = [
     "Trajectory",
     "lift_sode",
     "riccati_damping",
-    "riccati_system",
     "integrate",
     "residual",
 ]
@@ -166,18 +165,6 @@ def _system(family: str, coeffs: dict[str, CoeffExpr]) -> FirstOrderSystem:
     return FirstOrderSystem(family, compile_many((V, accel)), coeffs)
 
 
-def riccati_system(a0: CoeffExpr, a1: CoeffExpr, a2: CoeffExpr, a3: CoeffExpr,
-                   b0: CoeffExpr, b1: CoeffExpr) -> FirstOrderSystem:
-    """The Riccati-family lift vdot = -(b0+b1*x)v - a0 - a1*x - a2*x^2 - a3*x^3.
-
-    Checks no constraint and takes b0, b1 as given: ``lift_sode`` passes the
-    derived ones, ``RiccatiCoeffs.system`` may pass a replacement b0 as a
-    negative control.
-    """
-    return _system("riccati", {"a0": a0, "a1": a1, "a2": a2, "a3": a3,
-                               "b0": b0, "b1": b1})
-
-
 def lift_sode(family: str, coeffs: dict | None = None,
               interval: tuple[float, float] = (0.0, 1.0)) -> FirstOrderSystem:
     """Build the first-order lift of one of the supported SODE families.
@@ -237,10 +224,6 @@ class Trajectory:
     @property
     def x(self) -> list[float]:
         return [s[0] for s in self.states]
-
-    @property
-    def v(self) -> list[float]:
-        return [s[1] for s in self.states]
 
     def to_csv(self, path) -> None:
         """Write as CSV with header t,x,v at full double precision."""

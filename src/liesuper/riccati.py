@@ -23,12 +23,7 @@ from typing import Sequence
 
 from .algebra import Report
 from .coeffexpr import CoeffExpr, DomainError, Sqrt
-from .odeint import (
-    FirstOrderSystem,
-    Trajectory,
-    lift_sode,
-    riccati_system,
-)
+from .odeint import FirstOrderSystem, Trajectory, _system, lift_sode
 from .superpose import (
     EPS_GEN,
     ReconstructionResult,
@@ -69,7 +64,8 @@ class RiccatiCoeffs:
     def system(self, b0_override: CoeffExpr | None = None) -> FirstOrderSystem:
         """First-order lift; ``b0_override`` exists for negative controls."""
         b0 = self.b0 if b0_override is None else b0_override
-        return riccati_system(self.a0, self.a1, self.a2, self.a3, b0, self.b1)
+        return _system("riccati", {"a0": self.a0, "a1": self.a1, "a2": self.a2,
+                                   "a3": self.a3, "b0": b0, "b1": self.b1})
 
 
 def build_riccati(a0, a1, a2, a3, interval: tuple[float, float]) -> RiccatiCoeffs:
@@ -102,13 +98,11 @@ def untransform_state(c: RiccatiCoeffs, t: float, state: State) -> State:
 
 
 def transformed_rhs_check(
-    c: RiccatiCoeffs,
-    samples: Sequence[tuple[float, float, float]] | None = None,
-    b0_override: CoeffExpr | None = None,
+    c: RiccatiCoeffs, b0_override: CoeffExpr | None = None
 ) -> Report:
     """Compare the push-forward of the lifted system with the printed target.
 
-    For each sample (t, x', v') the time derivative of (x', v') computed via
+    At each of 20 samples (t, x', v') the time derivative of (x', v') computed via
     the chain rule through v' = v/sqrt(a3) must match the Lie-system
     right-hand side  dx'/dt = sqrt(a3) v',
     dv'/dt = -a0/sqrt(a3) - sqrt(a3)(3v'x' + x'^3) - a1 x'/sqrt(a3)
@@ -116,13 +110,12 @@ def transformed_rhs_check(
     Discrepancies are report content; ``b0_override`` lets tests demonstrate
     that dropping the a3'/(2 a3) term breaks the identity.
     """
-    if samples is None:
-        t0, t1 = c.interval
-        samples = [
-            (t0 + (t1 - t0) * (i + 0.5) / 20, 0.3 * math.sin(3.1 * i + 0.7),
-             0.4 * math.cos(2.3 * i + 0.2))
-            for i in range(20)
-        ]
+    t0, t1 = c.interval
+    samples = [
+        (t0 + (t1 - t0) * (i + 0.5) / 20, 0.3 * math.sin(3.1 * i + 0.7),
+         0.4 * math.cos(2.3 * i + 0.2))
+        for i in range(20)
+    ]
     sys = c.system(b0_override=b0_override)
     beta_dot = Sqrt(c.a3).diff()
     report = Report("push-forward of the lifted system vs printed Lie system")

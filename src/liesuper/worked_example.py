@@ -33,43 +33,16 @@ __all__ = [
 ]
 
 
-def _x1(t):
-    return 0.0
-
-
-def _v1(t):
-    return 0.0
-
-
-def _x2(t):
-    return 2.0 / t
-
-
-def _v2(t):
-    return -2.0 / t**2
-
-
-def _x3(t):
-    return 2.0 * t / (2.0 + t**2)
-
-
-def _v3(t):
-    return (4.0 - 2.0 * t**2) / (2.0 + t**2) ** 2
-
-
-def _x4(t):
-    return (1.0 + 2.0 * t) / (t + t**2)
-
-
-def _v4(t):
-    return -(1.0 + 2.0 * t + 2.0 * t**2) / (t + t**2) ** 2
-
-
 def example_states(t: float) -> list[State]:
     """The four explicit particular solutions (x, v) at time t (t > 0)."""
     if t <= 0.0:
         raise ValueError("the explicit solutions have a pole at t = 0")
-    return [(_x1(t), _v1(t)), (_x2(t), _v2(t)), (_x3(t), _v3(t)), (_x4(t), _v4(t))]
+    return [
+        (0.0, 0.0),
+        (2.0 / t, -2.0 / t**2),
+        (2.0 * t / (2.0 + t**2), (4.0 - 2.0 * t**2) / (2.0 + t**2) ** 2),
+        ((1.0 + 2.0 * t) / (t + t**2), -(1.0 + 2.0 * t + 2.0 * t**2) / (t + t**2) ** 2),
+    ]
 
 
 def reference_general_solution(t: float, lam1: float, lam2: float) -> float:
@@ -85,9 +58,9 @@ def reference_general_solution(t: float, lam1: float, lam2: float) -> float:
     return (1.0 + 2.0 * t * lam1) * (-1.0 + lam2) / den
 
 
-def superpose_over_example(t: float, lam1: float, lam2: float, **kwargs) -> float:
+def superpose_over_example(t: float, lam1: float, lam2: float) -> float:
     """Direct evaluation of the superposition formula over the four solutions."""
-    return superpose_value(example_states(t), lam1, lam2, t=t, **kwargs)
+    return superpose_value(example_states(t), lam1, lam2, t=t)
 
 
 # tabulated closed forms for the intermediate functions at general t

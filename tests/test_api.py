@@ -31,8 +31,9 @@ def _bindings() -> dict:
     seen = {}
     for name in MODULES:
         module = importlib.import_module(f"liesuper.{name}")
-        for owner in [module] + [c for _, c in inspect.getmembers(module, inspect.isclass)
-                                 if c.__module__ == module.__name__]:
+        classes = [c for _, c in inspect.getmembers(module, inspect.isclass)
+                   if c.__module__ == module.__name__]
+        for owner in [module, *classes]:
             seen.update({(owner, attr): value for attr, value in vars(owner).items()})
     return seen
 

@@ -332,6 +332,32 @@ class TestSolve:
         assert json.loads((tmp_path / "r.json").read_text())["tol"] == 1e-6
 
 
+@pytest.mark.parametrize("command, base", [
+    ("solve", SOLVE_BASE),
+    ("superpose", {k: v for k, v in SUPERPOSE_BASE.items() if k != "constants"}
+     | {"target": [0.05, -0.3]}),
+])
+def test_fd_residual_only_for_a_report(tmp_path, capsys, monkeypatch, command, base):
+    # the FD residual is a report field: a run without a report skips it
+    values = []
+    residual = cli.residual
+
+    def counting(*args):
+        values.append(residual(*args))
+        return values[-1]
+
+    monkeypatch.setattr(cli, "residual", counting)
+    assert main([command, "--config", write_config(tmp_path, "a.json", base)]) == 0
+    bare = capsys.readouterr().out
+    assert values == []
+    path = str(tmp_path / "r.json")
+    cfg = dict(base, report=path)
+    assert main([command, "--config", write_config(tmp_path, "b.json", cfg)]) == 0
+    assert capsys.readouterr().out == bare + f"report written to {path}\n"
+    assert len(values) == 1
+    assert json.loads((tmp_path / "r.json").read_text())["fd_residual"] == values[0]
+
+
 class TestSuperpose:
     @staticmethod
     def _generic_solution_ics(t):

@@ -19,8 +19,8 @@ from liesuper.odeint import (
     lift_sode,
     residual,
     riccati_damping,
-    riccati_system,
 )
+from liesuper.riccati import RiccatiCoeffs
 from reference import dopri5_reference
 
 
@@ -74,7 +74,8 @@ class TestLift:
         # with b0 and b1 free of a3, the formula's order shows: x**2 overflows
         # before a failing a3 is read, but after a failing b0 is
         zero, bad = Const(0), parse_expr("1/(t - t)")
-        a3_fails = riccati_system(zero, zero, zero, bad, zero, zero)
+        a3_fails = RiccatiCoeffs(zero, zero, zero, bad, zero, zero,
+                                 (0.0, 1.0)).system()
         with pytest.raises(OverflowError):
             a3_fails.rhs(0.5, 1e200, 0.0)
         with pytest.raises(NonFinite):
@@ -82,7 +83,8 @@ class TestLift:
         with pytest.raises(DomainError) as exc:
             a3_fails.rhs(0.5, 1.0, 0.0)
         assert exc.value.node is bad
-        b0_fails = riccati_system(zero, zero, zero, Const(1), bad, zero)
+        b0_fails = RiccatiCoeffs(zero, zero, zero, Const(1), bad, zero,
+                                 (0.0, 1.0)).system()
         with pytest.raises(DomainError) as exc:
             b0_fails.rhs(0.5, 1e200, 0.0)
         assert exc.value.node is bad and exc.value.t == 0.5
