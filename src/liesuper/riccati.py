@@ -102,9 +102,9 @@ def transformed_rhs_check(
 ) -> Report:
     """Compare the push-forward of the lifted system with the printed target.
 
-    At each of 20 samples (t, x', v') the time derivative of (x', v') computed via
-    the chain rule through v' = v/sqrt(a3) must match the Lie-system
-    right-hand side  dx'/dt = sqrt(a3) v',
+    At each of 20 samples (t, x', v') the time derivative of (x', v')
+    computed via the chain rule through v' = v/sqrt(a3) must match the
+    Lie-system right-hand side  dx'/dt = sqrt(a3) v',
     dv'/dt = -a0/sqrt(a3) - sqrt(a3)(3v'x' + x'^3) - a1 x'/sqrt(a3)
              - a2 (v' + x'^2)/sqrt(a3).
     Discrepancies are report content; ``b0_override`` lets tests demonstrate
