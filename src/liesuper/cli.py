@@ -314,7 +314,7 @@ def cmd_solve(args) -> int:
     sys_ = _build_system(cfg, (t0, t1))
     _check_writable(cfg.get("output"), cfg.get("report"))
 
-    traj = integrate(sys_, ic, t0, grid, tol)
+    traj = integrate(sys_, ic, t0, grid, tol, True)  # dense output
 
     output = cfg.get("output")
     if output:
@@ -322,9 +322,7 @@ def cmd_solve(args) -> int:
             traj.to_csv(output)
         print(f"trajectory written to {output}")
     else:
-        print("t,x,v")
-        for t, (x, v) in zip(traj.times, traj.states):
-            print(f"{t:.17g},{x:.17g},{v:.17g}")
+        traj.write_csv(sys.stdout)
 
     report = cfg.get("report")
     if report:
@@ -333,6 +331,8 @@ def cmd_solve(args) -> int:
             "family": sys_.family,
             "tol": tol,
             "steps": traj.steps,
+            "rejected_steps": traj.rejected,
+            "rhs_calls": 6 * traj.steps + 1,  # FSAL: six a step, one to start
             "grid_points": len(traj),
             "fd_residual": _fd_residual(sys_, traj),
             "status": traj.status,

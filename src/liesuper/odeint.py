@@ -1,9 +1,12 @@
 """First-order lifts of the supported SODE families and their numerical integration.
 
 The integrator is an embedded Dormand-Prince 5(4) pair with PI step-size
-control.  There is no dense output: steps are clipped so that every
-requested grid time is hit exactly (no interpolation), which keeps the
-correctness story simple; grids here are small.  The pair is FSAL: the last
+control.  By default it clips steps so that every grid time is hit
+exactly.  Dense output clips steps only to the last grid time, so their size
+follows the tolerance, and fills the grid times inside a step from the
+quintic Hermite interpolant of x through (x, v, F) at both ends (Hairer,
+Norsett & Wanner, Solving ODEs I, II.6), which keeps x twice differentiable
+for the finite-difference residual below.  The pair is FSAL: the last
 stage of an accepted step is the right-hand side at the new state, so it is
 the first stage of the next step, and a rejected step keeps its first stage.
 Each attempted step costs six right-hand-side evaluations, plus one for the
@@ -208,7 +211,8 @@ class Trajectory:
     times: list[float]
     states: list[tuple[float, float]]
     tol: float = float("nan")
-    steps: int = 0
+    steps: int = 0  # attempted steps
+    rejected: int = 0  # of which rejected
     status: str = "ok"
 
     def __post_init__(self):
@@ -225,12 +229,15 @@ class Trajectory:
     def x(self) -> list[float]:
         return [s[0] for s in self.states]
 
-    def to_csv(self, path) -> None:
+    def write_csv(self, fh) -> None:
         """Write as CSV with header t,x,v at full double precision."""
+        fh.write("t,x,v\n")
+        for t, (x, v) in zip(self.times, self.states):
+            fh.write(f"{t:.17g},{x:.17g},{v:.17g}\n")
+
+    def to_csv(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write("t,x,v\n")
-            for t, (x, v) in zip(self.times, self.states):
-                fh.write(f"{t:.17g},{x:.17g},{v:.17g}\n")
+            self.write_csv(fh)
 
     @classmethod
     def from_csv(cls, path) -> "Trajectory":
@@ -284,14 +291,39 @@ def _rhs_checked(rhs, t: float, x: float, v: float) -> tuple[float, float]:
     return dx, dv
 
 
+def _hermite_fill(out, grid, j, last, t, h, x0, v0, f0, x1, v1, f1) -> int:
+    """Append (x, v) at grid[j], grid[j + 1], ... before grid[last] up to
+    t + h; return the next j.  x is the quintic in theta = (time - t)/h with
+    value, slope and curvature (x0, v0, f0) at t and (x1, v1, f1) at t + h;
+    v is its derivative."""
+    d, a, b, p, q = x1 - x0, h * v0, h * v1, h * h * f0, h * h * f1
+    c2 = 0.5 * p
+    c3 = 10 * d - 6 * a - 4 * b - 1.5 * p + 0.5 * q
+    c4 = -15 * d + 8 * a + 7 * b + 1.5 * p - q
+    c5 = 6 * d - 3 * a - 3 * b - 0.5 * p + 0.5 * q
+    s3, s4, s5 = 3 * c3, 4 * c4, 5 * c5
+    t1 = t + h
+    while j < last and grid[j] <= t1:
+        th = (grid[j] - t) / h
+        out.append((x0 + th * (a + th * (c2 + th * (c3 + th * (c4 + th * c5)))),
+                    (a + th * (p + th * (s3 + th * (s4 + th * s5)))) / h))
+        j += 1
+    return j
+
+
 def integrate(
     sys: FirstOrderSystem,
     ic: Sequence[float],
     t0: float,
     grid: Sequence[float],
     tol: float,
+    dense: bool = False,
 ) -> Trajectory:
-    """Integrate from (t0, ic) landing exactly on every grid time.
+    """Integrate from (t0, ic) and report the state at every grid time.
+
+    By default every grid state is a step's own.  With ``dense``, steps are
+    clipped only to the last grid time, which gets the last step's state;
+    ``_hermite_fill`` fills the others at no extra right-hand-side call.
 
     Local error per step is controlled against the mixed scale
     atol + rtol*|y| with atol = rtol = tol.  Raises BlowUp when the step
@@ -299,7 +331,7 @@ def integrate(
     NonFinite when the right-hand side stops being finite, and
     StepBudgetExceeded after STEP_BUDGET attempted steps beyond one per grid
     interval.  An error estimate too large for a float rejects the step.
-    ``Trajectory.steps`` counts attempted steps, rejected ones included.
+    ``Trajectory.steps`` counts attempted steps, ``rejected`` the rejected.
     """
     grid = list(grid)
     if not grid or grid[0] != t0:
@@ -334,10 +366,13 @@ def integrate(
     v += 0.0
     h = span / 100.0
     err_prev = 1.0
-    steps = 0
+    steps = rejected = 0
     k0x, k0v = _rhs_checked(rhs, t + c0 * h, x, v)
+    # dense output steps to grid[last], filling grid[j:last] on the way
+    last = len(grid) - 1
+    j = 1 if dense else last
 
-    for t_target in grid[1:]:
+    for t_target in (grid[1:][-1:] if dense else grid[1:]):
         while t < t_target:
             h = min(h, t_target - t)
             if h < h_min:
@@ -387,6 +422,9 @@ def integrate(
                 err = math.inf
             steps += 1
             if err <= 1.0:
+                if j < last:
+                    j = _hermite_fill(out_states, grid, j, last, t, h,
+                                      x, v, k0v, y5x, y5v, k6v)
                 t = t + h
                 x, v = y5x, y5v
                 k0x, k0v = k6x, k6v
@@ -394,11 +432,12 @@ def integrate(
                 factor = 0.9 * (err + 1e-300) ** -0.14 * (err_prev + 1e-300) ** 0.08
                 err_prev = max(err, 1e-10)
             else:
+                rejected += 1
                 factor = max(0.9 * (err + 1e-300) ** -0.2, 0.2)
             h = h * min(max(factor, 0.2), 5.0)
         out_states.append((x, v))
 
-    return Trajectory(list(grid), out_states, tol=tol, steps=steps)
+    return Trajectory(grid, out_states, tol=tol, steps=steps, rejected=rejected)
 
 
 def residual(sys: FirstOrderSystem, traj: Trajectory) -> float:

@@ -5,7 +5,10 @@ before it was compiled.  ``dopri5_reference`` is the
 Dormand-Prince 5(4) loop before FSAL: seven right-hand-side evaluations per
 attempted step, stage sums accumulated left to right from 0 (what the builtin
 ``sum`` does on Python 3.11; later versions compensate float sums, so the
-accumulation is spelled out here).
+accumulation is spelled out here).  ``dopri5_dense_reference`` is the same
+loop stepping to the last grid time only; it keeps every accepted step and
+fills the grid times in between afterwards, each from the quintic Hermite
+interpolant of the first step that reaches it.
 
 ``in_span``, ``matrix_coefficients`` and ``fraction_free_rank`` are the three
 exact eliminations that ``exactpoly.Elimination`` replaced: Gauss-Jordan over
@@ -149,7 +152,7 @@ def _rhs_checked(sys, t, y):
     return d
 
 
-def dopri5_reference(sys, ic, t0, grid, tol):
+def dopri5_reference(sys, ic, t0, grid, tol, dense=False):
     """Same contract as ``liesuper.odeint.integrate``, seven stages a step."""
     grid = list(grid)
     span = max(grid[-1] - t0, 1e-300)
@@ -161,9 +164,10 @@ def dopri5_reference(sys, ic, t0, grid, tol):
     out_states = [y]
     h = span / 100.0
     err_prev = 1.0
-    steps = 0
+    steps = rejected = 0
+    accepted = []  # (t, h, y, F at y, y5, F at y5) of every accepted step
 
-    for t_target in grid[1:]:
+    for t_target in grid[1:][-1:] if dense else grid[1:]:
         while t < t_target:
             h = min(h, t_target - t)
             if h < h_min:
@@ -195,16 +199,48 @@ def dopri5_reference(sys, ic, t0, grid, tol):
             )
             steps += 1
             if err <= 1.0:
+                accepted.append((t, h, y, k[0][1], y5, k[6][1]))
                 t = t + h
                 y = y5
                 factor = 0.9 * (err + 1e-300) ** -0.14 * (err_prev + 1e-300) ** 0.08
                 err_prev = max(err, 1e-10)
             else:
+                rejected += 1
                 factor = max(0.9 * (err + 1e-300) ** -0.2, 0.2)
             h = h * min(max(factor, 0.2), 5.0)
         out_states.append(y)
 
-    return Trajectory(list(grid), out_states, tol=tol, steps=steps)
+    if dense and len(grid) > 2:
+        inner = []
+        steps_left = iter(accepted)
+        step = next(steps_left)
+        for g in grid[1:-1]:
+            while not g <= step[0] + step[1]:
+                step = next(steps_left)
+            inner.append(_quintic_hermite(g, *step))
+        out_states[1:1] = inner
+    return Trajectory(list(grid), out_states, tol=tol, steps=steps,
+                      rejected=rejected)
+
+
+def dopri5_dense_reference(sys, ic, t0, grid, tol):
+    """Same contract as ``integrate(..., dense=True)``, seven stages a step."""
+    return dopri5_reference(sys, ic, t0, grid, tol, dense=True)
+
+
+def _quintic_hermite(g, t, h, y0, f0, y1, f1):
+    """(x, v) at time g of the quintic with value, slope and curvature
+    (x0, v0, f0) at t and (x1, v1, f1) at t + h."""
+    (x0, v0), (x1, v1) = y0, y1
+    d, a, b, p, q = x1 - x0, h * v0, h * v1, h * h * f0, h * h * f1
+    c2 = 0.5 * p
+    c3 = 10 * d - 6 * a - 4 * b - 1.5 * p + 0.5 * q
+    c4 = -15 * d + 8 * a + 7 * b + 1.5 * p - q
+    c5 = 6 * d - 3 * a - 3 * b - 0.5 * p + 0.5 * q
+    th = (g - t) / h
+    x = x0 + th * (a + th * (c2 + th * (c3 + th * (c4 + th * c5))))
+    dx = a + th * (p + th * (3 * c3 + th * (4 * c4 + th * (5 * c5))))
+    return x, dx / h
 
 
 def fraction_free_rank(rows):

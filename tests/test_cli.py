@@ -104,6 +104,33 @@ class TestSolve:
         assert report["fd_residual"] is None
         assert report["grid_points"] == 11
 
+    def test_report_counts_steps_and_rhs_calls(self, tmp_path, monkeypatch):
+        # dense output: steps follow tol, not the 200 grid intervals, and
+        # the report's rhs_calls is the count the right-hand side saw
+        calls = 0
+        integrate = cli.integrate
+
+        def counting(sys, *args):
+            def rhs(t, x, v):
+                nonlocal calls
+                calls += 1
+                return sys.rhs(t, x, v)
+
+            return integrate(dataclasses.replace(sys, rhs=rhs), *args)
+
+        monkeypatch.setattr(cli, "integrate", counting)
+        for t1, rejected in ((1, 0), (50, 3)):
+            calls = 0
+            cfg = dict(SOLVE_BASE, interval=[0, t1],
+                       report=str(tmp_path / "r.json"))
+            assert main(["solve", "--config",
+                         write_config(tmp_path, "c.json", cfg)]) == 0
+            report = json.loads((tmp_path / "r.json").read_text())
+            assert report["rhs_calls"] == calls == 6 * report["steps"] + 1
+            assert report["rejected_steps"] == rejected
+            if t1 == 1:
+                assert report["steps"] < 100
+
     def test_stdout_csv_is_the_to_csv_format(self, tmp_path, capsys):
         # with no output file the trajectory goes to stdout, byte for byte
         # what Trajectory.to_csv writes for the same config

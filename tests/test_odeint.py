@@ -20,8 +20,10 @@ from liesuper.odeint import (
     residual,
     riccati_damping,
 )
-from liesuper.riccati import RiccatiCoeffs
-from reference import dopri5_reference
+from liesuper.riccati import RiccatiCoeffs, build_riccati, transform_state
+from liesuper.superpose import lambda_integrals
+from conftest import sample_generic_ics
+from reference import dopri5_dense_reference, dopri5_reference
 
 
 def grid(t0, t1, n):
@@ -283,6 +285,162 @@ class TestAgainstReference:
         assert (traj.steps, traj.states) == (ref.steps, ref.states)
         assert len(times) == 6 * traj.steps + 1
         assert len(ref_times) == 7 * ref.steps
+
+
+def _dense(sys, ic, t0, g, tol):
+    return integrate(sys, ic, t0, g, tol, True)
+
+
+def _dense_outcome(integrator, sys, ic, g, tol):
+    """``_outcome`` of one dense run, the rejected count added; the
+    reference's repeated stage 0 is dropped from its calls."""
+    result, calls = _outcome(integrator, sys, ic, g, tol)
+    if integrator is dopri5_dense_reference:
+        calls = calls[:1] + [c for i, c in enumerate(calls) if i % 7]
+    try:
+        rejected = integrator(sys, ic, g[0], g, tol).rejected
+    except (BlowUp, NonFinite):
+        rejected = None
+    return result, calls, rejected
+
+
+RICCATI = {"a0": "cos(t)", "a1": "0.3", "a2": "sin(t)/2", "a3": "1 + t^2/4"}
+
+
+class TestDenseOutput:
+    """Steps sized by tol, grid times filled from the quintic Hermite
+    interpolant, against the seven-stage loop with the same fill."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(sorted(FAMILY_COEFFS)),
+        st.integers(0, 1),
+        st.tuples(st.floats(-2, 2), st.floats(-2, 2)),
+        st.floats(-12, -3),
+        st.floats(0.05, 3.0),
+        st.integers(2, 60),
+    )
+    def test_states_steps_and_rhs_calls_bit_for_bit(
+        self, family, which, ic, log_tol, t1, n
+    ):
+        sys = lift_sode(family, FAMILY_COEFFS[family][which], interval=(0.0, t1))
+        g = grid(0.0, t1, n)
+        g[-1] = t1
+        tol = 10.0**log_tol
+        assert _dense_outcome(_dense, sys, ic, g, tol) == _dense_outcome(
+            dopri5_dense_reference, sys, ic, g, tol
+        )
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_COEFFS))
+    def test_steps_and_last_state_do_not_depend_on_inner_grid_times(self, family):
+        # the last grid time holds the final step's own state: the state a
+        # grid of the two ends alone lands on, after the same steps
+        sys = lift_sode(family, FAMILY_COEFFS[family][1])
+        ends = integrate(sys, (0.3, -0.2), 0.0, [0.0, 1.0], 1e-9)
+        for n in (3, 4, 1001):
+            traj = _dense(sys, (0.3, -0.2), 0.0, grid(0.0, 1.0, n), 1e-9)
+            assert traj.times[-1] == 1.0
+            assert traj.states[-1] == ends.states[-1]
+            assert (traj.steps, traj.rejected) == (ends.steps, ends.rejected)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_rejected_steps_counted(self, dense):
+        sys, g = lift_sode("mdpi"), grid(0.0, 50.0, 11)
+        traj = integrate(sys, (1.0, -1.0), 0.0, g, 1e-8, dense)
+        ref = dopri5_reference(sys, (1.0, -1.0), 0.0, g, 1e-8, dense)
+        assert traj.rejected == ref.rejected > 0
+        assert (traj.steps, traj.states) == (ref.steps, ref.states)
+
+    def test_two_points_is_grid_landing(self):
+        sys = lift_sode("general", FAMILY_COEFFS["general"][1])
+        for t1 in (0.1, 1.0, 3.0):
+            a = integrate(sys, (0.3, -0.2), 0.0, [0.0, t1], 1e-10)
+            b = _dense(sys, (0.3, -0.2), 0.0, [0.0, t1], 1e-10)
+            assert (a.steps, a.states) == (b.steps, b.states)
+
+    def test_one_step_spans_many_grid_times(self):
+        # tol-bound: a handful of steps fill 1,001 grid times, and the
+        # fill stays within reach of the tolerance
+        sys = lift_sode("mdpi")
+        g = grid(0.0, 1.0, 1001)
+        traj = _dense(sys, (1.0, -1.0), 0.0, g, 1e-6)
+        assert traj.steps < 20
+        assert traj.states == dopri5_dense_reference(
+            sys, (1.0, -1.0), 0.0, g, 1e-6).states
+        assert max(abs(x - 1 / (1 + t)) + abs(v + 1 / (1 + t) ** 2)
+                   for t, (x, v) in zip(g, traj.states)) < 1e-5
+
+    def test_uneven_float_grid_at_1e14(self):
+        sys = lift_sode("mdpi")
+        g = grid(1e14, 1e14 + 1, 11)
+        g[-1] = 1e14 + 1
+        traj = _dense(sys, (1.0, -1.0), 1e14, g, 1e-10)
+        assert traj.times == g and len(traj.states) == 11
+        assert traj.states == dopri5_dense_reference(
+            sys, (1.0, -1.0), 1e14, g, 1e-10).states
+        with pytest.raises(GridTooCoarse):
+            residual(sys, traj)
+
+    def test_blow_up_and_budget_as_grid_landing(self, monkeypatch):
+        sys = lift_sode("mdpi")
+        with pytest.raises(BlowUp) as exc:
+            _dense(sys, (-5.0, -40.0), 0.0, grid(0.0, 1.0, 11), 1e-10)
+        assert 0.0 < exc.value.t_star < 1.0
+        # the budget is STEP_BUDGET beyond one step per grid interval here too
+        g = grid(0.0, 1.0, 11)
+        steps = _dense(sys, (1.0, -1.0), 0.0, g, 1e-8).steps
+        monkeypatch.setattr(odeint, "STEP_BUDGET", steps - 10)
+        assert _dense(sys, (1.0, -1.0), 0.0, g, 1e-8).steps == steps
+        monkeypatch.setattr(odeint, "STEP_BUDGET", steps - 11)
+        with pytest.raises(StepBudgetExceeded):
+            _dense(sys, (1.0, -1.0), 0.0, g, 1e-8)
+
+    @pytest.mark.parametrize("family,coeffs", [
+        ("mdpi", FAMILY_COEFFS["mdpi"][1]),
+        ("general", FAMILY_COEFFS["general"][0]),
+        ("exam2", FAMILY_COEFFS["exam2"][1]),
+        ("riccati", RICCATI),
+    ])
+    def test_grid_bound_run_passes_dop853_and_residual(self, family, coeffs):
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+        sys = lift_sode(family, coeffs)
+        g, ic = grid(0.0, 1.0, 1001), (0.3, -0.2)
+        traj = _dense(sys, ic, 0.0, g, 1e-10)
+        assert traj.steps < 100  # not one step per grid interval
+        ref = solve_ivp(lambda t, y: sys.rhs(t, y[0], y[1]), (0.0, 1.0), ic,
+                        method="DOP853", rtol=1e-13, atol=1e-13, t_eval=g)
+        err = max(max(abs(x - rx), abs(v - rv)) for (x, v), rx, rv
+                  in zip(traj.states, ref.y[0], ref.y[1]))
+        assert err <= 1e-6
+        assert residual(sys, traj) <= 1e-6
+
+    @pytest.mark.parametrize("family,coeffs", [
+        ("mdpi", FAMILY_COEFFS["mdpi"][1]),
+        ("general", FAMILY_COEFFS["general"][0]),
+        ("riccati", RICCATI),
+    ])
+    def test_lambda_drift_at_a_hundredth_of_tol(self, family, coeffs):
+        # drift follows the global error, so it follows the step tolerance:
+        # at the default tol 1e-10 the dense path's steps are about 30 times
+        # longer than grid landing's 0.001, and five mdpi trajectories from
+        # sample_generic_ics seeds 0-9 drifted up to 1.3e-8, past the 1e-8
+        # bound.  So superpose stays on grid landing; at tol / 100 the same
+        # runs drift at most 2.3e-10.
+        c = (build_riccati(**coeffs, interval=(0.0, 1.0))
+             if family == "riccati" else None)
+        sys = c.system() if c else lift_sode(family, coeffs)
+        g = grid(0.0, 1.0, 1001)
+        for seed in range(3):
+            trajs = [_dense(sys, ic, 0.0, g, 1e-12)
+                     for ic in sample_generic_ics(seed, 5)]
+            lams = []
+            for i in range(0, len(g), 10):
+                states = [tr.states[i] for tr in trajs]
+                if c:
+                    states = [transform_state(c, g[i], s) for s in states]
+                lams.append(lambda_integrals(states))
+            assert max(max(abs(l1 - lams[0][0]), abs(l2 - lams[0][1]))
+                       for l1, l2 in lams) <= 1e-8
 
 
 class TestTrajectory:
