@@ -238,6 +238,16 @@ def _fd_residual(sys_, traj: Trajectory) -> float | None:
         return None
 
 
+def _step_stats(trajs) -> dict:
+    """Integrator statistics summed over trajs, each one integrate's result."""
+    return {
+        "steps": sum(traj.steps for traj in trajs),
+        "rejected_steps": sum(traj.rejected for traj in trajs),
+        # FSAL: six calls a step, and one to start
+        "rhs_calls": sum(6 * traj.steps + 1 for traj in trajs),
+    }
+
+
 def _write_report(path: str, report_dict: dict) -> None:
     with _writing(path), open(path, "w") as fh:
         json.dump(report_dict, fh, indent=2, sort_keys=True)
@@ -330,9 +340,7 @@ def cmd_solve(args) -> int:
             "command": "solve",
             "family": sys_.family,
             "tol": tol,
-            "steps": traj.steps,
-            "rejected_steps": traj.rejected,
-            "rhs_calls": 6 * traj.steps + 1,  # FSAL: six a step, one to start
+            **_step_stats([traj]),
             "grid_points": len(traj),
             "fd_residual": _fd_residual(sys_, traj),
             "status": traj.status,
@@ -342,6 +350,20 @@ def cmd_solve(args) -> int:
 
 # ---------------------------------------------------------------------------
 # superpose
+
+# superpose integrates with dense output at tol / SUPERPOSE_TOL_DIVISOR.  The
+# rule reads the first integrals Lambda1, Lambda2 from five trajectories, and
+# their drift follows the global error, so the step size: at tol 1e-10, five
+# dense mdpi trajectories (n = 1,001, ten seeds) drifted up to 1.3e-8, past
+# the 1e-8 bound the tests hold superpose to; at tol / 100, at most 2.5e-10.
+SUPERPOSE_TOL_DIVISOR = 100
+
+
+def _superpose_tol(tol: float) -> float:
+    """tol / SUPERPOSE_TOL_DIVISOR, kept at or above the smallest positive
+    float: every tol a config may give stays one integrate accepts."""
+    return max(tol / SUPERPOSE_TOL_DIVISOR, math.ulp(0.0))
+
 
 _SUPERPOSE_KEYS = {
     "family": str,
@@ -370,7 +392,8 @@ def _particular_trajectories(cfg: dict, sys_, t0, grid, tol) -> list[Trajectory]
         if len(ics) != 4:
             raise ConfigError(message)
         ics = [_pair(ic, message) for ic in ics]
-        return [integrate(sys_, ic, t0, grid, tol) for ic in ics]
+        return [integrate(sys_, ic, t0, grid, _superpose_tol(tol), True)
+                for ic in ics]
     if len(inputs) != 4 or not all(isinstance(p, str) for p in inputs):
         raise ConfigError("inputs must name four trajectory CSV files")
     try:
@@ -401,8 +424,11 @@ def cmd_superpose(args) -> int:
     _check_writable(cfg.get("output"), cfg.get("report"))
 
     trajs = _particular_trajectories(cfg, sys_, t0, grid, tol)
+    integrated = []  # every trajectory this command integrated
     if cfg.get("inputs") is not None:
         grid = trajs[0].times  # reconstruction runs on the CSV grid
+    else:
+        integrated += trajs
 
     fit_time = cfg.get("fit_time")
 
@@ -429,7 +455,9 @@ def cmd_superpose(args) -> int:
         # the reference starts from the target where it was fitted, and the
         # integrator runs forward only: compare from the fitting time on
         i_fit = 0 if fit_time is None else grid.index(fit_time)
-        reference = integrate(sys_, target, grid[i_fit], grid[i_fit:], tol)
+        reference = integrate(sys_, target, grid[i_fit], grid[i_fit:],
+                              _superpose_tol(tol), True)
+        integrated.append(reference)
         max_err = max(
             max(abs(a[0] - b[0]), abs(a[1] - b[1]))
             for a, b in zip(result.trajectory.states[i_fit:], reference.states)
@@ -445,6 +473,7 @@ def cmd_superpose(args) -> int:
             "family": sys_.family,
             "tol": tol,
             "eps_gen": eps_gen,
+            **_step_stats(integrated),
             **result.to_dict(),
             "genericity_product_at_start": genericity_product(
                 [traj.states[0] for traj in trajs]

@@ -10,6 +10,12 @@ loop stepping to the last grid time only; it keeps every accepted step and
 fills the grid times in between afterwards, each from the quintic Hermite
 interpolant of the first step that reaches it.
 
+``from_csv_reference`` reads a trajectory CSV one line at a time, checking
+each row as it is read, and ``write_csv_reference`` writes one row per call:
+the CSV layer before ``Trajectory`` parsed and wrote the body in bulk.
+``residual_reference`` is the finite-difference residual indexing the grid
+at every point, before its loop read each stencil once.
+
 ``in_span``, ``matrix_coefficients`` and ``fraction_free_rank`` are the three
 exact eliminations that ``exactpoly.Elimination`` replaced: Gauss-Jordan over
 ``Fraction`` rebuilt for every target, and Bareiss elimination for the rank.
@@ -50,6 +56,7 @@ from liesuper.exactpoly import Polynomial, VectorField
 from liesuper.odeint import (
     STEP_UNDERFLOW_FACTOR,
     BlowUp,
+    GridTooCoarse,
     NonFinite,
     Trajectory,
 )
@@ -241,6 +248,58 @@ def _quintic_hermite(g, t, h, y0, f0, y1, f1):
     x = x0 + th * (a + th * (c2 + th * (c3 + th * (c4 + th * c5))))
     dx = a + th * (p + th * (3 * c3 + th * (4 * c4 + th * (5 * c5))))
     return x, dx / h
+
+
+def from_csv_reference(path):
+    """``Trajectory.from_csv`` as one loop over the lines after the header."""
+    times, states = [], []
+    with open(path) as fh:
+        header = fh.readline().strip()
+        if header != "t,x,v":
+            raise ValueError(f"unexpected CSV header {header!r} in {path}")
+        for lineno, line in enumerate(fh, 2):
+            if not line.strip():
+                continue
+            try:
+                t, x, v = map(float, line.strip().split(","))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
+            if not all(map(math.isfinite, (t, x, v))):
+                raise ValueError(f"{path}, line {lineno}: non-finite value")
+            if times and not t > times[-1]:
+                raise ValueError(
+                    f"{path}, line {lineno}: times must be strictly increasing"
+                )
+            times.append(t)
+            states.append((x, v))
+    return Trajectory(times, states)
+
+
+def write_csv_reference(traj, fh):
+    """``Trajectory.write_csv`` as one write per row."""
+    fh.write("t,x,v\n")
+    for t, (x, v) in zip(traj.times, traj.states):
+        fh.write(f"{t:.17g},{x:.17g},{v:.17g}\n")
+
+
+def residual_reference(sys, traj):
+    """``odeint.residual`` with the grid indexed afresh at every point."""
+    n = len(traj)
+    if n < 7:
+        raise GridTooCoarse(f"need at least 7 grid points, got {n}")
+    times, xs = traj.times, traj.x
+    h = times[1] - times[0]
+    for a, b in zip(times, times[1:]):
+        if abs((b - a) - h) > 1e-9 * max(abs(h), 1.0):
+            raise GridTooCoarse("residual oracle requires a uniform grid")
+    worst = 0.0
+    for i in range(2, n - 2):
+        xdot = (xs[i - 2] - 8 * xs[i - 1] + 8 * xs[i + 1] - xs[i + 2]) / (12 * h)
+        xddot = (
+            -xs[i - 2] + 16 * xs[i - 1] - 30 * xs[i] + 16 * xs[i + 1] - xs[i + 2]
+        ) / (12 * h * h)
+        worst = max(worst, abs(xddot - sys.rhs(times[i], xs[i], xdot)[1]))
+    return worst
 
 
 def fraction_free_rank(rows):

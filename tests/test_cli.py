@@ -697,6 +697,151 @@ class TestSuperpose:
         assert err.count("\n") == 1 and ("input" if key == "inputs" else key) in err
 
 
+class TestSuperposeSteps:
+    """superpose integrates with dense output at tol / 100."""
+
+    README = {
+        "family": "general",
+        "coefficients": {"f": "sin(t)", "g": "cos(t)", "h": "0.1"},
+        "interval": [0, 1],
+        "points": 101,
+        "initial_conditions": [[0.1, -0.2], [0.3, 0.1], [-0.2, 0.4], [0.25, -0.4]],
+        "target": [0.05, 0.3],
+    }
+
+    @staticmethod
+    def _recording(monkeypatch) -> list:
+        """Each Trajectory the CLI's integrate returns; the calls still run."""
+        results = []
+        integrate = cli.integrate
+
+        def recording(*args):
+            results.append(integrate(*args))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "integrate", recording)
+        return results
+
+    def test_readme_config_steps(self, tmp_path, monkeypatch):
+        # five tolerance-sized integrations where grid landing took 5 x 100
+        trajs = self._recording(monkeypatch)
+        cfg = dict(self.README, report=str(tmp_path / "r.json"))
+        assert main(["superpose", "--config",
+                     write_config(tmp_path, "c.json", cfg)]) == 0
+        assert [t.steps for t in trajs] == [56, 77, 93, 51, 76]
+        assert {t.tol for t in trajs} == {1e-12}
+
+    @pytest.mark.parametrize("case", ["initial_conditions", "target",
+                                      "inputs", "inputs and target"])
+    def test_report_counts_steps_and_rhs_calls(self, tmp_path, monkeypatch,
+                                               case):
+        # summed over the integrations the command ran: the four particular
+        # solutions and the target's reference; none for CSV inputs alone
+        calls = 0
+        integrate = cli.integrate
+
+        def counting(sys, *args):
+            def rhs(t, x, v):
+                nonlocal calls
+                calls += 1
+                return sys.rhs(t, x, v)
+
+            return integrate(dataclasses.replace(sys, rhs=rhs), *args)
+
+        cfg = dict(SUPERPOSE_BASE, report=str(tmp_path / "r.json"))
+        integrations = 4
+        if "target" in case:
+            del cfg["constants"]
+            cfg["target"] = [0.05, -0.3]
+        if "inputs" in case:
+            paths, grid = [], [k / 10 for k in range(11)]
+            for i, ic in enumerate(cfg.pop("initial_conditions")):
+                paths.append(str(tmp_path / f"p{i}.csv"))
+                odeint.integrate(odeint.lift_sode("mdpi"), ic, 0.0, grid,
+                                 1e-10).to_csv(paths[-1])
+            cfg["inputs"] = paths
+            integrations = 0
+        integrations += "target" in case
+        monkeypatch.setattr(cli, "integrate", counting)
+        assert main(["superpose", "--config",
+                     write_config(tmp_path, "c.json", cfg)]) == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["rhs_calls"] == calls
+        assert calls == 6 * report["steps"] + integrations
+        assert report["rejected_steps"] == 0
+        assert (report["steps"] == 0) == (integrations == 0)
+
+    @pytest.mark.parametrize("tol", [5e-324, 1e-320, 1e-300])
+    def test_tiny_tol_still_integrates(self, tmp_path, capsys, tol):
+        # tol / 100 underflows to 0 at 5e-324: the integrator's tolerance
+        # is held at the smallest positive float, and the command succeeds
+        cfg = dict(SUPERPOSE_BASE, tol=tol)
+        assert main(["superpose", "--config",
+                     write_config(tmp_path, "c.json", cfg)]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("coefficients", [
+        None,  # general, the README coefficients
+        {"a0": "0.3*cos(t)", "a1": "0.2", "a2": "0.5*sin(t)", "a3": "1 + t^2/4"},
+        {"a0": "0.3*cos(t)", "a1": "0.2", "a2": "0.5*sin(t)", "a3": "1"},
+    ])
+    def test_lambda_drift_error_and_a3_bit_match(self, tmp_path, monkeypatch,
+                                                 coefficients):
+        from conftest import sample_generic_ics
+        from liesuper.riccati import build_riccati, transform_state
+        from liesuper.superpose import (SuperposeProblem, lambda_integrals,
+                                        reconstruct)
+
+        cfg = dict(self.README, points=1001, output=str(tmp_path / "o.csv"),
+                   report=str(tmp_path / "r.json"))
+        c = None
+        if coefficients:
+            cfg.update(family="riccati", coefficients=coefficients)
+            c = build_riccati(**coefficients, interval=(0.0, 1.0))
+        for seed in range(3):
+            ics = sample_generic_ics(seed, 5)
+            cfg.update(initial_conditions=[list(ic) for ic in ics[:4]],
+                       target=list(ics[4]))
+            trajs = self._recording(monkeypatch)
+            assert main(["superpose", "--config",
+                         write_config(tmp_path, "c.json", cfg)]) == 0
+            monkeypatch.undo()
+            assert len(trajs) == 5  # four particular solutions, the reference
+            report = json.loads((tmp_path / "r.json").read_text())
+            assert report["max_error_vs_reference"] <= 1e-6
+            times = trajs[0].times
+            lams = []
+            for i in range(0, len(times), 10):
+                states = [trajs[4].states[i]] + [t.states[i] for t in trajs[:4]]
+                if c:
+                    states = [transform_state(c, times[i], s) for s in states]
+                lams.append(lambda_integrals(states))
+            assert max(max(abs(l1 - lams[0][0]), abs(l2 - lams[0][1]))
+                       for l1, l2 in lams) <= 1e-8
+            if coefficients and coefficients["a3"] == "1":
+                plain = reconstruct(SuperposeProblem(trajs[:4], target=ics[4]))
+                out = odeint.Trajectory.from_csv(tmp_path / "o.csv")
+                assert out.states == plain.trajectory.states
+
+    def test_misaligned_rows_name_line_2(self, tmp_path, capsys):
+        # 1,2 then 3,4,5,6 hold six values, two rows' worth, but neither
+        # row has three: the reader refuses the first, as a line loop did
+        paths = []
+        for i in range(4):
+            path = tmp_path / f"p{i}.csv"
+            path.write_text("t,x,v\n1,2\n3,4,5,6\n" if i == 1
+                            else f"t,x,v\n0,0.{i},0.1\n0.5,0.{i},-0.1\n")
+            paths.append(str(path))
+        cfg = {"family": "mdpi", "interval": [0, 1], "inputs": paths,
+               "constants": [0.25, 0.65], "output": str(tmp_path / "rec.csv")}
+        code = main(["superpose", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {paths[1]}, line 2: not enough values to unpack "
+            "(expected 3, got 2)\n")
+        assert not (tmp_path / "rec.csv").exists()
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize("case,text", [
         ("invalid JSON", "{"),

@@ -1,7 +1,9 @@
 """Integrator, family lifts, CSV round-trip, and the residual oracle."""
 
 import dataclasses
+import io
 import math
+import random
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -23,7 +25,9 @@ from liesuper.odeint import (
 from liesuper.riccati import RiccatiCoeffs, build_riccati, transform_state
 from liesuper.superpose import lambda_integrals
 from conftest import sample_generic_ics
-from reference import dopri5_dense_reference, dopri5_reference
+from reference import (dopri5_dense_reference, dopri5_reference,
+                       from_csv_reference, residual_reference,
+                       write_csv_reference)
 
 
 def grid(t0, t1, n):
@@ -464,6 +468,105 @@ class TestTrajectory:
             Trajectory([0.0, 0.0], [(1.0, 0.0), (1.0, 0.0)])
 
 
+# the pieces of a trajectory CSV that its reader treats differently
+_PAD = st.sampled_from(["", "", " ", "\t", "  "])
+_BLANK = st.sampled_from(["", " ", "\t", " \t "])
+_BAD_FIELD = st.sampled_from(["nan", "-inf", "inf", "1e999", "", "abc", "0x1"])
+
+
+@st.composite
+def _csv_texts(draw):
+    """The text of a trajectory CSV: mostly valid rows, with seeded faults."""
+    n = draw(st.integers(0, 8))
+    times = sorted(draw(st.lists(
+        st.floats(-1e6, 1e6, allow_nan=False), min_size=n, max_size=n,
+        unique=True)))
+    if n > 1 and draw(st.integers(0, 4)) == 0:  # one time out of order
+        i = draw(st.integers(1, n - 1))
+        times[i] = times[i - 1] if draw(st.booleans()) else times[0] - 1
+    rows = []
+    for t in times:
+        fields = [repr(t)] + [repr(draw(st.floats(allow_nan=False,
+                                                  allow_infinity=False)))
+                              for _ in range(2)]
+        fault = draw(st.sampled_from([None] * 20 + [
+            "bad", "short", "long", "trailing comma", "shift"]))
+        if fault == "bad":
+            fields[draw(st.integers(0, 2))] = draw(_BAD_FIELD)
+        elif fault == "short":
+            fields.pop()
+        elif fault == "long":  # 4 or 7 values: a row and a bit, two and a bit
+            fields += [repr(draw(st.floats(-1, 1)))] * draw(st.sampled_from([1, 4]))
+        elif fault == "trailing comma":
+            fields.append("")
+        elif fault == "shift" and rows and rows[-1]:  # the last row's end here
+            fields.insert(0, rows[-1].pop())
+        rows.append(fields)
+        if draw(st.integers(0, 5)) == 0:
+            rows.append(None)  # a blank or whitespace-only line
+    lines = [draw(_BLANK) if r is None
+             else ",".join(draw(_PAD) + f + draw(_PAD) for f in r) for r in rows]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    end = draw(st.sampled_from(["", newline, newline + newline]))
+    header = draw(st.sampled_from(["t,x,v"] * 16 + ["t,x,v ", "t,x", "x,t,v"]))
+    return header + newline + newline.join(lines) + (end if lines else newline)
+
+
+def _read_outcome(read, path):
+    try:
+        traj = read(path)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "ok", repr((traj.times, traj.states))
+
+
+class TestCsvLayer:
+    """The bulk CSV reader and writer against the line loops they replace."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_csv_texts())
+    def test_reader_matches_line_loop(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        assert (_read_outcome(Trajectory.from_csv, path)
+                == _read_outcome(from_csv_reference, path))
+
+    @pytest.mark.parametrize("body", [
+        "1,2\n3,4,5,6\n",  # the right number of values, misaligned
+        "1,2,3,4,5,6,7\n8,9,10\n",
+        "1,2,3,\n",
+        "",
+        "\n \n\t\n",
+        "0,1,2\r\n\r\n1,3,4",
+        " 0 , 1 ,2\n1, 3e-1 , -0.0 \n",
+        "0,1,2\n0,1,2\n",
+        "0,1,2\x0c\n1,2\u2028,3\r2,3,4\r\n\x1c\n",  # only \n, \r\n, \r end a line
+    ])
+    def test_reader_named_cases(self, tmp_path, body):
+        path = tmp_path / "t.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write("t,x,v\n" + body)
+        assert (_read_outcome(Trajectory.from_csv, path)
+                == _read_outcome(from_csv_reference, path))
+
+    def test_writer_bytes_match_row_writer(self):
+        rng = random.Random(20261019)
+        values = [rng.uniform(-1e3, 1e3) for _ in range(60)]
+        values += [rng.gauss(0, 1) * 10.0 ** rng.randint(-300, 300)
+                   for _ in range(60)]
+        values += [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                   -1.7976931348623157e308, 1e16, 1e17, 2.0**53 + 2, 3.0,
+                   -7.0, 1e22, 0.1, 1 / 3]
+        times = sorted(set(values))
+        states = [(rng.choice(values), rng.choice(values)) for _ in times]
+        for traj in (Trajectory(times, states), Trajectory([], [])):
+            fast, slow = io.StringIO(), io.StringIO()
+            traj.write_csv(fast)
+            write_csv_reference(traj, slow)
+            assert fast.getvalue() == slow.getvalue()
+
+
 class TestResidual:
     def test_small_on_true_solution(self):
         sys = lift_sode("mdpi")
@@ -492,3 +595,15 @@ class TestResidual:
         traj = Trajectory(g, [(1 / (1 + t), 0.0) for t in g])
         with pytest.raises(GridTooCoarse):
             residual(sys, traj)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_COEFFS))
+def test_residual_matches_indexed_loop(family):
+    # bit for bit, on integrated trajectories and on one that is no solution
+    sys = lift_sode(family, FAMILY_COEFFS[family][1])
+    for n in (7, 8, 201, 1001):
+        g = grid(0.0, 1.0, n)
+        for traj in (integrate(sys, (0.3, -0.2), 0.0, g, 1e-10),
+                     _dense(sys, (0.3, -0.2), 0.0, g, 1e-8),
+                     Trajectory(g, [(math.cos(3 * t), 0.0) for t in g])):
+            assert repr(residual(sys, traj)) == repr(residual_reference(sys, traj))
