@@ -17,11 +17,10 @@ code  meaning
 ``solve`` and ``superpose`` write a machine-readable JSON report only when
 the config names one under ``report``; ``verify`` writes its text and JSON
 reports only with ``--output-dir``.  Re-running with the same config
-reproduces identical outputs.  The environment variables ``LIESUPER_TOL``
-and ``LIESUPER_EPS_GEN`` override the default integrator tolerance and
-genericity guard when the config does not set them explicitly.  ``tol``
-must be finite and positive, ``eps_gen`` finite and non-negative, wherever
-they come from; anything else exits 2 before any integration.
+reproduces identical outputs: every setting comes from the config, and
+a key it leaves out takes its documented default.  ``tol`` must be finite
+and positive, ``eps_gen`` finite and non-negative; anything else exits 2
+before any integration.
 """
 
 from __future__ import annotations
@@ -143,25 +142,18 @@ def _finite_number(value) -> bool:
         return False
 
 
-def _setting(cfg: dict, key: str, env: str, default: float,
-             positive: bool) -> float:
-    """cfg[key], else $env, else default: finite, and > 0 or >= 0."""
-    if key in cfg:
-        raw, source = cfg[key], f"config key {key!r}"
-    else:
-        raw, source = os.environ.get(env, repr(default)), env
-    try:
-        value = float(raw)
-    except (ValueError, OverflowError):
-        value = math.nan
-    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+def _setting(cfg: dict, key: str, default: float, positive: bool) -> float:
+    """cfg[key], else default: finite, and > 0 or >= 0."""
+    raw = cfg.get(key, default)
+    if not (_finite_number(raw) and (raw > 0 if positive else raw >= 0)):
         bound = "> 0" if positive else ">= 0"
-        raise ConfigError(f"{source} must be a finite number {bound}, got {raw!r}")
-    return value
+        raise ConfigError(
+            f"config key {key!r} must be a finite number {bound}, got {raw!r}")
+    return float(raw)
 
 
 def _tol(cfg: dict) -> float:
-    return _setting(cfg, "tol", "LIESUPER_TOL", 1e-10, positive=True)
+    return _setting(cfg, "tol", 1e-10, positive=True)
 
 
 def _pair(value, message: str) -> tuple[float, float]:
@@ -243,8 +235,7 @@ def _step_stats(trajs) -> dict:
     return {
         "steps": sum(traj.steps for traj in trajs),
         "rejected_steps": sum(traj.rejected for traj in trajs),
-        # FSAL: six calls a step, and one to start
-        "rhs_calls": sum(6 * traj.steps + 1 for traj in trajs),
+        "rhs_calls": sum(traj.rhs_calls for traj in trajs),
     }
 
 
@@ -411,7 +402,7 @@ def cmd_superpose(args) -> int:
     cfg = _load_config(args.config, _SUPERPOSE_KEYS)
     t0, t1, grid = _grid(cfg)
     tol = _tol(cfg)
-    eps_gen = _setting(cfg, "eps_gen", "LIESUPER_EPS_GEN", EPS_GEN, positive=False)
+    eps_gen = _setting(cfg, "eps_gen", EPS_GEN, positive=False)
     sys_ = _build_system(cfg, (t0, t1))
 
     constants = cfg.get("constants")

@@ -241,12 +241,6 @@ class Polynomial:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def leading_coefficient(self) -> Scalar:
-        """Coefficient of the lexicographically largest exponent vector."""
-        if not self.terms:
-            return 0
-        return self.terms[max(self.terms)]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -285,9 +279,8 @@ class Polynomial:
 class RationalFunction:
     """Quotient of two polynomials; equality via cross-multiplication.
 
-    The denominator is normalised so that its leading coefficient (in
-    lexicographic term order) is positive.  No gcd cancellation is attempted:
-    equality testing ``p/q == r/s  iff  p*s - r*q == 0`` makes it unnecessary.
+    No gcd cancellation is attempted: equality testing
+    ``p/q == r/s  iff  p*s - r*q == 0`` makes it unnecessary.
     """
 
     __slots__ = ("num", "den")
@@ -298,8 +291,6 @@ class RationalFunction:
         _check_coords(num, den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator in RationalFunction")
-        if den.leading_coefficient() < 0:
-            num, den = -num, -den
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

@@ -211,6 +211,7 @@ class Trajectory:
     steps: int = 0  # attempted steps
     rejected: int = 0  # of which rejected
     status: str = "ok"
+    rhs_calls: int = 0  # right-hand-side evaluations
 
     def __post_init__(self):
         if len(self.times) != len(self.states):
@@ -350,7 +351,8 @@ def integrate(
     NonFinite when the right-hand side stops being finite, and
     StepBudgetExceeded after STEP_BUDGET attempted steps beyond one per grid
     interval.  An error estimate too large for a float rejects the step.
-    ``Trajectory.steps`` counts attempted steps, ``rejected`` the rejected.
+    ``Trajectory.steps`` counts attempted steps, ``rejected`` the rejected,
+    and ``rhs_calls`` the right-hand-side evaluations.
     """
     grid = list(grid)
     if not grid or grid[0] != t0:
@@ -456,7 +458,9 @@ def integrate(
             h = h * min(max(factor, 0.2), 5.0)
         out_states.append((x, v))
 
-    return Trajectory(grid, out_states, tol=tol, steps=steps, rejected=rejected)
+    # FSAL: six calls an attempted step, and the first stage
+    return Trajectory(grid, out_states, tol=tol, steps=steps, rejected=rejected,
+                      rhs_calls=6 * steps + 1)
 
 
 def residual(sys: FirstOrderSystem, traj: Trajectory) -> float:

@@ -307,15 +307,6 @@ class TestSolve:
         assert err.count("\n") == 1 and "'tol'" in err
         assert integrations == []
 
-    @pytest.mark.parametrize("value", ["0", "-1e-8", "inf", "nan", "abc"])
-    def test_bad_env_tolerance_exit2(self, tmp_path, capsys, monkeypatch, value):
-        monkeypatch.setenv("LIESUPER_TOL", value)
-        cfg = {k: v for k, v in SOLVE_BASE.items() if k != "tol"}
-        code = main(["solve", "--config", write_config(tmp_path, "c.json", cfg)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "LIESUPER_TOL" in err
-
     def test_error_norm_overflow_rejects_the_step(self, tmp_path, capsys):
         # at tol 1e-200 the scaled error of a first attempt is too large to
         # square; the step is rejected and shrunk instead of raising
@@ -350,13 +341,17 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "step budget" in err and "t = " in err
 
-    def test_env_var_tolerance_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LIESUPER_TOL", "1e-6")
-        cfg = {k: v for k, v in SOLVE_BASE.items() if k != "tol"}
-        cfg["report"] = str(tmp_path / "r.json")
+    @pytest.mark.xfail(strict=True, reason=(
+        "near t = 1e14 time advances by fl(t + h) - t while the stages "
+        "assume h, so the run ends off the exact solution and exits 0"))
+    def test_exact_end_state_at_1e14(self, tmp_path, capsys):
+        # x = 1/(1 + t - t0) solves mdpi with f = 0 from (1, -1)
+        cfg = dict(SOLVE_BASE, interval=[100000000000000, 100000000000001],
+                   points=11)
         code = main(["solve", "--config", write_config(tmp_path, "c.json", cfg)])
         assert code == 0
-        assert json.loads((tmp_path / "r.json").read_text())["tol"] == 1e-6
+        x_end = float(capsys.readouterr().out.splitlines()[-1].split(",")[1])
+        assert abs(x_end - 0.5) < 1e-6
 
 
 @pytest.mark.parametrize("command, base", [
@@ -383,6 +378,33 @@ def test_fd_residual_only_for_a_report(tmp_path, capsys, monkeypatch, command, b
     assert capsys.readouterr().out == bare + f"report written to {path}\n"
     assert len(values) == 1
     assert json.loads((tmp_path / "r.json").read_text())["fd_residual"] == values[0]
+
+
+@pytest.mark.parametrize("tol, eps_gen", [("1e-6", "1e-3"), ("nan", "x")])
+@pytest.mark.parametrize("command, base, code", [
+    ("solve", {k: v for k, v in SOLVE_BASE.items() if k != "tol"}, 0),
+    ("superpose", SUPERPOSE_BASE, 0),
+    ("superpose", dict(SUPERPOSE_BASE, initial_conditions=[[0.1, 0.2]] * 4), 5),
+], ids=["solve", "superpose", "superpose-degenerate"])
+def test_settings_come_from_the_config_only(tmp_path, capsys, monkeypatch,
+                                            tol, eps_gen, command, base, code):
+    # a run is its config: these variables, valid or not, change no output
+    paths = [tmp_path / "o.csv", tmp_path / "r.json"]
+    cfg = dict(base, output=str(paths[0]), report=str(paths[1]))
+    argv = [command, "--config", write_config(tmp_path, "c.json", cfg)]
+
+    def run():
+        result = (main(argv), capsys.readouterr(),
+                  [p.read_bytes() if p.exists() else None for p in paths])
+        for p in paths:
+            p.unlink(missing_ok=True)
+        return result
+
+    unset = run()
+    assert unset[0] == code
+    monkeypatch.setenv("LIESUPER_TOL", tol)
+    monkeypatch.setenv("LIESUPER_EPS_GEN", eps_gen)
+    assert run() == unset
 
 
 class TestSuperpose:
@@ -624,12 +646,10 @@ class TestSuperpose:
         assert code == 5
         assert "t =" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key,env", [
-        (-1, None), (float("nan"), None), (float("inf"), None),
-        (None, "nan"), (None, "-1e-3"), (None, "x"),
-    ])
+    @pytest.mark.parametrize("key", [-1, float("nan"), float("inf")],
+                             ids=["-1-None", "nan-None", "inf-None"])
     def test_bad_eps_gen_exit2_before_integrating(self, tmp_path, capsys,
-                                                  monkeypatch, key, env):
+                                                  monkeypatch, key):
         # a negative or NaN guard would let an exactly vanishing denominator
         # through to a ZeroDivisionError
         integrations = count_integrations(monkeypatch)
@@ -639,15 +659,12 @@ class TestSuperpose:
             "points": 51,
             "initial_conditions": [[0.1, 0.2], [0.1, 0.2], [0.3, -0.1], [-0.2, 0.4]],
             "constants": [0.3, 0.7],
+            "eps_gen": key,
         }
-        if key is not None:
-            cfg["eps_gen"] = key
-        if env is not None:
-            monkeypatch.setenv("LIESUPER_EPS_GEN", env)
         code = main(["superpose", "--config", write_config(tmp_path, "c.json", cfg)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "EPS_GEN" in err.upper()
+        assert err.count("\n") == 1 and "'eps_gen'" in err
         assert integrations == []
 
     def test_zero_eps_gen_is_a_guard(self, tmp_path, capsys):

@@ -329,3 +329,11 @@ class TestDeriveAlong:
             q * X.apply(p) - p * X.apply(q), q * q
         )
         assert d == expected
+
+    @given(fields(), polynomials(), polynomials())
+    def test_numerator_ignores_a_common_sign(self, X, p, q):
+        # verify reads only this numerator, so p/q and (-p)/(-q) need no
+        # normal form
+        assume(not q.is_zero)
+        assert (derive_along(X, RationalFunction(-p, -q)).num
+                == derive_along(X, RationalFunction(p, q)).num)

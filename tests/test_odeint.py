@@ -265,14 +265,17 @@ class TestAgainstReference:
         st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
         st.floats(-10, -3),
         st.integers(2, 12),
+        st.booleans(),
     )
-    def test_six_rhs_calls_per_attempted_step_plus_one(self, family, ic, log_tol, n):
+    def test_six_rhs_calls_per_attempted_step_plus_one(self, family, ic, log_tol,
+                                                       n, dense):
         sys, times = self._counting(lift_sode(family, FAMILY_COEFFS[family][1]))
         try:
-            traj = integrate(sys, ic, 0.0, grid(0.0, 1.0, n), 10.0**log_tol)
+            traj = integrate(sys, ic, 0.0, grid(0.0, 1.0, n), 10.0**log_tol,
+                             dense)
         except BlowUp:
             reject()  # no step count to compare with
-        assert len(times) == 6 * traj.steps + 1
+        assert len(times) == traj.rhs_calls == 6 * traj.steps + 1
 
     def test_rejected_steps_reuse_the_first_stage(self):
         g = [0.0, 50.0]
