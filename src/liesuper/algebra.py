@@ -32,6 +32,7 @@ __all__ = [
     "sl3_matrices",
     "matrix_bracket",
     "structure_constants",
+    "structure_or_not_closed",
     "verify_paper_table",
     "verify_isomorphism",
     "verify_scheme",
@@ -255,6 +256,18 @@ def structure_constants(basis: Sequence[VectorField]) -> StructureTable:
     return table
 
 
+def structure_or_not_closed(basis: Sequence[VectorField]) -> StructureTable | NotClosed:
+    """``structure_constants(basis)``, or the NotClosed it raised.
+
+    The NotClosed is returned without its traceback, so that holding it
+    keeps no frame alive and makes no reference cycle.
+    """
+    try:
+        return structure_constants(basis)
+    except NotClosed as exc:
+        return exc.with_traceback(None)
+
+
 @dataclass(frozen=True)
 class CheckRecord:
     """One verified item: what was expected, what was computed, verdict."""
@@ -326,18 +339,23 @@ def _coeff_str(coeffs: Sequence[Fraction]) -> str:
     return " + ".join(f"({c})*e{i}" for i, c in items)
 
 
-def verify_paper_table(fields: Sequence[VectorField] | None = None) -> Report:
+def verify_paper_table(
+    fields: Sequence[VectorField] | None = None,
+    table: StructureTable | NotClosed | None = None,
+) -> Report:
     """Compare the computed X1..X8 structure constants with the printed table.
 
     Mismatches are report content, not exceptions, so typos in the literal
-    table (or deliberately mutated fields) are detectable.
+    table (or deliberately mutated fields) are detectable.  ``table`` is
+    :func:`structure_or_not_closed` of the fields when the caller has it
+    already; by default it is computed here.
     """
     basis = list(fields) if fields is not None else builtin_fields("sl3-family")
     report = Report("bracket table of {X1..X8} vs printed relations")
-    try:
-        table = structure_constants(basis)
-    except NotClosed as exc:
-        _add_not_closed(report, exc, note=f"bracket = {exc.bracket}")
+    if table is None:
+        table = structure_or_not_closed(basis)
+    if isinstance(table, NotClosed):
+        _add_not_closed(report, table, note=f"bracket = {table.bracket}")
         return report
     for pair, printed in PRINTED_SL3_TABLE.items():
         computed = table[pair]
@@ -351,12 +369,16 @@ def verify_paper_table(fields: Sequence[VectorField] | None = None) -> Report:
     return report
 
 
-def verify_isomorphism(fields: Sequence[VectorField] | None = None) -> Report:
+def verify_isomorphism(
+    fields: Sequence[VectorField] | None = None,
+    table: StructureTable | NotClosed | None = None,
+) -> Report:
     """Check that M1..M8 realise exactly the X1..X8 structure constants.
 
     Verifies tracelessness and linear independence of the matrices (so the
     correspondence is onto an eight-dimensional algebra) and, pair by pair,
     that [Ma, Mb] and [Xa, Xb] resolve to identical coefficient vectors.
+    ``table`` is as for :func:`verify_paper_table`.
     """
     basis = list(fields) if fields is not None else builtin_fields("sl3-family")
     mats = sl3_matrices()
@@ -369,10 +391,10 @@ def verify_isomorphism(fields: Sequence[VectorField] | None = None) -> Report:
     span = Elimination([dict(enumerate(M.flat())) for M in mats])
     report.add("rank of {M1..M8}", 8, span.rank, span.rank == len(mats))
 
-    try:
-        vf_table = structure_constants(basis)
-    except NotClosed as exc:
-        _add_not_closed(report, exc)
+    if table is None:
+        table = structure_or_not_closed(basis)
+    if isinstance(table, NotClosed):
+        _add_not_closed(report, table)
         return report
 
     n = len(mats)
@@ -380,7 +402,7 @@ def verify_isomorphism(fields: Sequence[VectorField] | None = None) -> Report:
         for b in range(a + 1, n):
             mb = matrix_bracket(mats[a], mats[b])
             mc = span.solve(dict(enumerate(mb.flat())))
-            xc = vf_table[(a + 1, b + 1)]
+            xc = table[(a + 1, b + 1)]
             report.add(
                 f"[M{a+1},M{b+1}] vs [X{a+1},X{b+1}]",
                 _coeff_str(xc),

@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import functools
 import json
 import math
 import os
@@ -38,6 +39,7 @@ from fractions import Fraction
 from .algebra import (
     Report,
     builtin_fields,
+    structure_or_not_closed,
     verify_isomorphism,
     verify_paper_table,
     verify_scheme,
@@ -263,9 +265,11 @@ def _mutated_sl3_fields() -> list[VectorField]:
 def cmd_verify(args) -> int:
     """Run every machine-computable verification suite and write reports."""
     fields = _mutated_sl3_fields() if args.mutate_x5 else None
+    basis = fields or builtin_fields("sl3-family")
+    table = structure_or_not_closed(basis)  # one table for both suites
     reports: list[Report] = [
-        verify_paper_table(fields=fields),
-        verify_isomorphism(fields=fields),
+        verify_paper_table(basis, table),
+        verify_isomorphism(basis, table),
         verify_scheme(),
         verify_lambda_annihilation(all_fields=args.all_fields, fields=fields),
         worked_example_report(t=1.0),
@@ -373,7 +377,11 @@ _SUPERPOSE_KEYS = {
 }
 
 
-def _particular_trajectories(cfg: dict, sys_, t0, grid, tol) -> list[Trajectory]:
+def _particular_trajectories(cfg: dict, sys_, t0, grid, tol,
+                             fit_time) -> list[Trajectory]:
+    """The four particular solutions, read from the ``inputs`` CSVs or
+    integrated on ``grid`` from ``initial_conditions``; before integrating,
+    a ``fit_time`` (None when unused) that is not a grid time is refused."""
     ics = cfg.get("initial_conditions")
     inputs = cfg.get("inputs")
     if (ics is None) == (inputs is None):
@@ -383,6 +391,8 @@ def _particular_trajectories(cfg: dict, sys_, t0, grid, tol) -> list[Trajectory]
         if len(ics) != 4:
             raise ConfigError(message)
         ics = [_pair(ic, message) for ic in ics]
+        if fit_time is not None and fit_time not in grid:
+            raise ConfigError(f"fit_time {fit_time} is not a grid time")
         return [integrate(sys_, ic, t0, grid, _superpose_tol(tol), True)
                 for ic in ics]
     if len(inputs) != 4 or not all(isinstance(p, str) for p in inputs):
@@ -414,14 +424,15 @@ def cmd_superpose(args) -> int:
 
     _check_writable(cfg.get("output"), cfg.get("report"))
 
-    trajs = _particular_trajectories(cfg, sys_, t0, grid, tol)
+    fit_time = cfg.get("fit_time")
+    # only a target is fitted at fit_time; with constants it goes unused
+    fitted = fit_time if constants is None and target is not None else None
+    trajs = _particular_trajectories(cfg, sys_, t0, grid, tol, fitted)
     integrated = []  # every trajectory this command integrated
     if cfg.get("inputs") is not None:
         grid = trajs[0].times  # reconstruction runs on the CSV grid
     else:
         integrated += trajs
-
-    fit_time = cfg.get("fit_time")
 
     if sys_.family == "riccati":
         rc = RiccatiCoeffs(**sys_.coeffs, interval=(t0, t1))
@@ -552,7 +563,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first ``main`` call and reused:
+    argparse keeps no state in a parser between parses."""
     parser = _Parser(
         prog="liesuper",
         description="verify the sl(3,R) structure and run superposition rules",

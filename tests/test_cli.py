@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from liesuper import cli, odeint
+from liesuper import algebra, cli, odeint
 from liesuper.cli import main
 
 
@@ -59,6 +59,29 @@ class TestVerify:
         assert (tmp_path / "verify_report.txt").exists()
         # the known table/recomputation conflicts surface as WARN, not FAIL
         assert "[WARN] F431" in out
+
+    @pytest.mark.parametrize("flags", [
+        [], ["--all-fields"], ["--mutate-x5"], ["--all-fields", "--mutate-x5"],
+    ])
+    def test_one_structure_table_per_verify(self, capsys, monkeypatch, flags):
+        calls = []
+        plain = algebra.structure_constants
+
+        def counting(basis):
+            calls.append(basis)
+            return plain(basis)
+
+        monkeypatch.setattr(algebra, "structure_constants", counting)
+        main(["verify", *flags])
+        assert len(calls) == 1
+        out = capsys.readouterr().out
+        if "--mutate-x5" in flags:  # both suites still name the first bracket
+            suites = out.split("\n\n")
+            for title in ("bracket table of {X1..X8}",
+                          "matrix realisation of the {X1..X8}"):
+                suite, = (s for s in suites if s.startswith(title))
+                assert ("[FAIL] [X1,X4]: expected closed bracket, got outside span"
+                        in suite)
 
     def test_mutated_x5_fails_with_named_pair(self, capsys):
         code = main(["verify", "--mutate-x5"])
@@ -634,6 +657,23 @@ class TestSuperpose:
         report = json.loads((tmp_path / "rec.json").read_text())
         assert report["max_error_vs_reference"] < 1e-6
 
+    def test_fit_time_off_the_grid_exit2_before_integrating(self, tmp_path, capsys,
+                                                            monkeypatch):
+        integrations = count_integrations(monkeypatch)
+        cfg = dict(SUPERPOSE_BASE, points=1001, fit_time=0.1234)
+        del cfg["constants"]
+        cfg["target"] = [0.05, 0.3]
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["superpose", "--config", path]) == 2
+        assert capsys.readouterr().err == (
+            "error: fit_time 0.1234 is not a grid time\n")
+        assert integrations == []
+        # with constants, fit_time goes unused
+        cfg = dict(SUPERPOSE_BASE, points=1001, fit_time=0.1234)
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["superpose", "--config", path]) == 0
+        assert len(integrations) == 4
+
     def test_duplicate_ic_exit5(self, tmp_path, capsys):
         cfg = {
             "family": "mdpi",
@@ -950,3 +990,52 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: liesuper")
+
+
+def test_one_parser_gives_fresh_parser_results(tmp_path, capsys, monkeypatch):
+    """In-process main calls of every kind through the one cached parser give
+    the exit code, stdout and stderr that a parser built per call gives."""
+    config = write_config(tmp_path, "solve.json", dict(SOLVE_BASE, points=11))
+    sequence = [
+        ["verify"],
+        ["rank", "--point", "1/2,-1/3,2,5/7,1,0,-2/5,3"],
+        ["frobnicate"],
+        ["solve", "--config", config],
+        ["--help"],
+        ["verify", "--bogus"],
+        ["rank", "--point", "1/2,1/2,2,5/7,1,1,-2/5,3"],
+        ["rank", "--help"],
+        [],
+        ["verify", "--mutate-x5"],
+        ["rank"],
+        ["solve", "--help"],
+        ["rank", "--point", "-1,1,2,3,4,5,6,7"],
+        ["solve"],
+        ["rank", "--point", "1,2,3,4,5,6,7,8", "extra"],
+        ["verify", "--all-fields"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = [run(argv) for argv in sequence]
+
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    assert [run(argv) for argv in sequence + sequence] == fresh + fresh
+    assert built.count("liesuper") == 1
+    assert {code for code, _, _ in fresh} == {0, 1, 2}

@@ -431,8 +431,8 @@ class TestDenseOutput:
         # at the default tol 1e-10 the dense path's steps are about 30 times
         # longer than grid landing's 0.001, and five mdpi trajectories from
         # sample_generic_ics seeds 0-9 drifted up to 1.3e-8, past the 1e-8
-        # bound.  So superpose stays on grid landing; at tol / 100 the same
-        # runs drift at most 2.3e-10.
+        # bound.  So superpose's dense steps are sized at tol / 100, where
+        # the same runs drift at most 2.3e-10.
         c = (build_riccati(**coeffs, interval=(0.0, 1.0))
              if family == "riccati" else None)
         sys = c.system() if c else lift_sode(family, coeffs)
