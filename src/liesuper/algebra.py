@@ -32,7 +32,6 @@ __all__ = [
     "sl3_matrices",
     "matrix_bracket",
     "structure_constants",
-    "structure_or_not_closed",
     "verify_paper_table",
     "verify_isomorphism",
     "verify_scheme",
@@ -256,7 +255,7 @@ def structure_constants(basis: Sequence[VectorField]) -> StructureTable:
     return table
 
 
-def structure_or_not_closed(basis: Sequence[VectorField]) -> StructureTable | NotClosed:
+def _structure_or_not_closed(basis: Sequence[VectorField]) -> StructureTable | NotClosed:
     """``structure_constants(basis)``, or the NotClosed it raised.
 
     The NotClosed is returned without its traceback, so that holding it
@@ -347,13 +346,13 @@ def verify_paper_table(
 
     Mismatches are report content, not exceptions, so typos in the literal
     table (or deliberately mutated fields) are detectable.  ``table`` is
-    :func:`structure_or_not_closed` of the fields when the caller has it
+    :func:`_structure_or_not_closed` of the fields when the caller has it
     already; by default it is computed here.
     """
     basis = list(fields) if fields is not None else builtin_fields("sl3-family")
     report = Report("bracket table of {X1..X8} vs printed relations")
     if table is None:
-        table = structure_or_not_closed(basis)
+        table = _structure_or_not_closed(basis)
     if isinstance(table, NotClosed):
         _add_not_closed(report, table, note=f"bracket = {table.bracket}")
         return report
@@ -392,7 +391,7 @@ def verify_isomorphism(
     report.add("rank of {M1..M8}", 8, span.rank, span.rank == len(mats))
 
     if table is None:
-        table = structure_or_not_closed(basis)
+        table = _structure_or_not_closed(basis)
     if isinstance(table, NotClosed):
         _add_not_closed(report, table)
         return report

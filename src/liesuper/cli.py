@@ -39,7 +39,7 @@ from fractions import Fraction
 from .algebra import (
     Report,
     builtin_fields,
-    structure_or_not_closed,
+    _structure_or_not_closed,
     verify_isomorphism,
     verify_paper_table,
     verify_scheme,
@@ -62,6 +62,8 @@ from .superpose import (
     EPS_GEN,
     Degenerate,
     SuperposeProblem,
+    _check_one_of,
+    _fit_index,
     genericity_product,
     reconstruct,
     verify_lambda_annihilation,
@@ -266,7 +268,7 @@ def cmd_verify(args) -> int:
     """Run every machine-computable verification suite and write reports."""
     fields = _mutated_sl3_fields() if args.mutate_x5 else None
     basis = fields or builtin_fields("sl3-family")
-    table = structure_or_not_closed(basis)  # one table for both suites
+    table = _structure_or_not_closed(basis)  # one table for both suites
     reports: list[Report] = [
         verify_paper_table(basis, table),
         verify_isomorphism(basis, table),
@@ -377,24 +379,22 @@ _SUPERPOSE_KEYS = {
 }
 
 
-def _particular_trajectories(cfg: dict, sys_, t0, grid, tol,
-                             fit_time) -> list[Trajectory]:
-    """The four particular solutions, read from the ``inputs`` CSVs or
-    integrated on ``grid`` from ``initial_conditions``; before integrating,
-    a ``fit_time`` (None when unused) that is not a grid time is refused."""
+def _initial_conditions(cfg: dict) -> list | None:
+    """The four validated [x, v] initial conditions, or None when the
+    particular solutions are read from the ``inputs`` CSVs."""
     ics = cfg.get("initial_conditions")
-    inputs = cfg.get("inputs")
-    if (ics is None) == (inputs is None):
+    if (ics is None) == (cfg.get("inputs") is None):
         raise ConfigError("give exactly one of initial_conditions / inputs")
-    if ics is not None:
-        message = "initial_conditions must be four [x, v] pairs"
-        if len(ics) != 4:
-            raise ConfigError(message)
-        ics = [_pair(ic, message) for ic in ics]
-        if fit_time is not None and fit_time not in grid:
-            raise ConfigError(f"fit_time {fit_time} is not a grid time")
-        return [integrate(sys_, ic, t0, grid, _superpose_tol(tol), True)
-                for ic in ics]
+    if ics is None:
+        return None
+    message = "initial_conditions must be four [x, v] pairs"
+    if len(ics) != 4:
+        raise ConfigError(message)
+    return [_pair(ic, message) for ic in ics]
+
+
+def _read_inputs(inputs: list) -> list[Trajectory]:
+    """The four particular solutions read from the ``inputs`` CSVs."""
     if len(inputs) != 4 or not all(isinstance(p, str) for p in inputs):
         raise ConfigError("inputs must name four trajectory CSV files")
     try:
@@ -425,14 +425,20 @@ def cmd_superpose(args) -> int:
     _check_writable(cfg.get("output"), cfg.get("report"))
 
     fit_time = cfg.get("fit_time")
-    # only a target is fitted at fit_time; with constants it goes unused
-    fitted = fit_time if constants is None and target is not None else None
-    trajs = _particular_trajectories(cfg, sys_, t0, grid, tol, fitted)
-    integrated = []  # every trajectory this command integrated
-    if cfg.get("inputs") is not None:
-        grid = trajs[0].times  # reconstruction runs on the CSV grid
+    ics = _initial_conditions(cfg)
+    if ics is not None:
+        # refuse what reconstruction would refuse before integrating;
+        # only a target is fitted at fit_time, with constants it goes unused
+        _check_one_of(constants, target)
+        if target is not None:
+            _fit_index(grid, fit_time)
+        trajs = [integrate(sys_, ic, t0, grid, _superpose_tol(tol), True)
+                 for ic in ics]
+        integrated = list(trajs)  # every trajectory this command integrated
     else:
-        integrated += trajs
+        trajs = _read_inputs(cfg["inputs"])
+        grid = trajs[0].times  # reconstruction runs on the CSV grid
+        integrated = []
 
     if sys_.family == "riccati":
         rc = RiccatiCoeffs(**sys_.coeffs, interval=(t0, t1))
@@ -456,7 +462,7 @@ def cmd_superpose(args) -> int:
     if target is not None:
         # the reference starts from the target where it was fitted, and the
         # integrator runs forward only: compare from the fitting time on
-        i_fit = 0 if fit_time is None else grid.index(fit_time)
+        i_fit = _fit_index(grid, fit_time)
         reference = integrate(sys_, target, grid[i_fit], grid[i_fit:],
                               _superpose_tol(tol), True)
         integrated.append(reference)

@@ -270,8 +270,23 @@ class SuperposeProblem:
         grid = self.trajectories[0].times
         if any(traj.times != grid for traj in self.trajectories[1:]):
             raise ValueError("all four trajectories must share one time grid")
-        if (self.constants is None) == (self.target is None):
-            raise ValueError("give either constants or a target state, not both")
+        _check_one_of(self.constants, self.target)
+
+
+def _check_one_of(constants, target) -> None:
+    """Refuse both or neither of ``constants`` and ``target``."""
+    if (constants is None) == (target is None):
+        raise ValueError("give either constants or a target state, not both")
+
+
+def _fit_index(grid: Sequence[float], fit_time: float | None) -> int:
+    """The index of ``fit_time`` in ``grid`` (0 when it is None)."""
+    if fit_time is None:
+        return 0
+    try:
+        return grid.index(fit_time)
+    except ValueError:
+        raise ValueError(f"fit_time {fit_time} is not a grid time") from None
 
 
 @dataclass
@@ -311,10 +326,7 @@ def _reconstruct(problem: SuperposeProblem, c) -> ReconstructionResult:
     trajs = problem.trajectories
     grid = trajs[0].times
     if problem.target is not None:
-        try:
-            i_fit = 0 if problem.fit_time is None else grid.index(problem.fit_time)
-        except ValueError:
-            raise ValueError(f"fit_time {problem.fit_time} is not a grid time")
+        i_fit = _fit_index(grid, problem.fit_time)
     seen = [(*trajs, c), grid, *(traj.states for traj in trajs)]
     last, built = _last_basis
     if not (len(seen) == len(last) and all(map(_same_objects, seen, last))):

@@ -668,6 +668,14 @@ class TestSuperpose:
         assert capsys.readouterr().err == (
             "error: fit_time 0.1234 is not a grid time\n")
         assert integrations == []
+        # both or neither of constants and target: refused before integrating
+        for cfg in (dict(SUPERPOSE_BASE, target=[0.05, 0.3]),
+                    {k: v for k, v in SUPERPOSE_BASE.items() if k != "constants"}):
+            path = write_config(tmp_path, "c.json", cfg)
+            assert main(["superpose", "--config", path]) == 2
+            assert capsys.readouterr().err == (
+                "error: give either constants or a target state, not both\n")
+            assert integrations == []
         # with constants, fit_time goes unused
         cfg = dict(SUPERPOSE_BASE, points=1001, fit_time=0.1234)
         path = write_config(tmp_path, "c.json", cfg)

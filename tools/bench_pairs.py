@@ -2,16 +2,16 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/bench_pairs.py --parent REV [--change REV] --out BENCH_<pr>.json
-        [--pairs verify-exact=10,solve-sweep=5,superpose-family=5]
-        [--seconds 36] [--seed 1]
+    python3 tools/bench_pairs.py --parent REV --out BENCH_<pr>.json [--seed 1]
 
-Both revisions are exported with ``git archive`` into one temporary
-directory, which is removed afterwards, so each side runs its committed
-files and nothing is written into the repository's ``.git``.  For pair i of
+The parent revision and HEAD are exported with ``git archive`` into one
+temporary directory, which is removed afterwards, so each side runs its
+committed files and nothing is written into the repository's ``.git``.  For pair i of
 a workload both sides run ``python3 perfbench/run.py --workload W --seed S
 --seconds X --trace 0`` with the same seed S = seed + i, one after the
-other: the parent first in even pairs, the change first in odd ones.
+other: the parent first in even pairs, the change first in odd ones.  X is
+the ``run_seconds`` of HEAD's ``BENCHMARK.json``; ``PAIRS`` holds the pairs
+per workload.
 
 For each workload and each end-to-end metric of the change's
 ``BENCHMARK.json`` the file holds both medians and quartiles, the parent's
@@ -37,7 +37,7 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DEFAULT_PAIRS = "verify-exact=10,solve-sweep=5,superpose-family=5"
+PAIRS = {"verify-exact": 10, "solve-sweep": 5, "superpose-family": 5}
 
 
 def git(*args: str) -> bytes:
@@ -112,36 +112,32 @@ def summary(runs: list[dict], metrics: list[dict]) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--parent", required=True, help="revision to compare with")
-    parser.add_argument("--change", default="HEAD", help="revision under test")
+    parser.add_argument("--parent", required=True,
+                        help="revision to compare HEAD with")
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--pairs", default=DEFAULT_PAIRS,
-                        help="workload=N,... pairs per workload")
-    parser.add_argument("--seconds", type=float, default=36.0)
     parser.add_argument("--seed", type=int, default=1, help="seed of pair 0")
     args = parser.parse_args(argv)
-    plan = [(w, int(n)) for w, n in
-            (item.split("=") for item in args.pairs.split(","))]
 
     commits = {side: git("rev-parse", rev).decode().strip()
-               for side, rev in (("parent", args.parent), ("change", args.change))}
+               for side, rev in (("parent", args.parent), ("change", "HEAD"))}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         checkouts = {side: os.path.join(tmp, side) for side in commits}
         for side, commit in commits.items():
             export(commit, checkouts[side])
         with open(os.path.join(checkouts["change"], "BENCHMARK.json")) as fh:
-            metrics = json.load(fh)["end_to_end"]
+            benchmark = json.load(fh)
+        metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
         result = {
             "commits": commits,
             "src_lines": {s: src_lines(c) for s, c in checkouts.items()},
             "python": platform.python_version(),
             "cpu_count": os.cpu_count(),
-            "seconds": args.seconds,
+            "seconds": seconds,
             "command": "python3 perfbench/run.py --workload W --seed S "
-                       f"--seconds {args.seconds:g} --trace 0",
+                       f"--seconds {seconds:g} --trace 0",
             "workloads": {},
         }
-        for workload, n in plan:
+        for workload, n in PAIRS.items():
             runs = []
             entry = result["workloads"][workload] = {"seeds": [], "runs": runs}
             for i in range(n):
@@ -149,8 +145,7 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = run_once(checkouts[side], workload, seed,
-                                          args.seconds)
+                    pair[side] = run_once(checkouts[side], workload, seed, seconds)
                 runs.append(pair)
                 entry["seeds"].append(seed)
                 entry["metrics"] = summary(runs, metrics)
