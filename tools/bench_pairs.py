@@ -2,13 +2,13 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/bench_pairs.py --parent REV --out BENCH_<pr>.json [--seed 1]
+    python3 tools/bench_pairs.py --parent REV --out BENCH_<pr>.json
 
 The parent revision and HEAD are exported with ``git archive`` into one
 temporary directory, which is removed afterwards, so each side runs its
 committed files and nothing is written into the repository's ``.git``.  For pair i of
 a workload both sides run ``python3 perfbench/run.py --workload W --seed S
---seconds X --trace 0`` with the same seed S = seed + i, one after the
+--seconds X --trace 0`` with the same seed S = SEED + i, one after the
 other: the parent first in even pairs, the change first in odd ones.  X is
 the ``run_seconds`` of HEAD's ``BENCHMARK.json``; ``PAIRS`` holds the pairs
 per workload.
@@ -38,6 +38,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = {"verify-exact": 10, "solve-sweep": 5, "superpose-family": 5}
+SEED = 161  # the seed of pair 0
 
 
 def git(*args: str) -> bytes:
@@ -115,7 +116,6 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True,
                         help="revision to compare HEAD with")
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--seed", type=int, default=1, help="seed of pair 0")
     args = parser.parse_args(argv)
 
     commits = {side: git("rev-parse", rev).decode().strip()
@@ -141,7 +141,7 @@ def main(argv=None) -> int:
             runs = []
             entry = result["workloads"][workload] = {"seeds": [], "runs": runs}
             for i in range(n):
-                seed = args.seed + i
+                seed = SEED + i
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
