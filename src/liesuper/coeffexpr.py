@@ -15,12 +15,14 @@ structurally repeated subtree is computed once, and every check is inline
 and raises the ``DomainError`` the tree walk would raise, naming the
 first-evaluated node.  A node that reads the state gets no overflow or
 finiteness check: a state too large for the formula ends in the bare
-``OverflowError`` or non-finite value that the integrator reports.
+``OverflowError`` or non-finite value that the integrator reports.  A
+subtree that reads neither t nor the state is folded: evaluated once, by
+the same lines, when the function is generated, unless those lines raise.
 Constants (as floats) and nodes are bound as the function's globals, never
 written into the source, so no user text reaches the source and the source
-depends only on the shape of the trees; the compiled code is cached by
-source.  ``CoeffExpr.compiled`` is the one-tree case, built on first use and
-cached on the node; ``eval(t)`` calls it.
+depends only on the shape of the trees and on which subtrees fold; the
+compiled code is cached by source.  ``CoeffExpr.compiled`` is the one-tree
+case, built on first use and cached on the node; ``eval(t)`` calls it.
 
 The companion parser accepts the infix grammar used by the CLI: whitespace
 insensitive, ``^`` for integer powers, ``/`` for division (so rationals are
@@ -64,6 +66,7 @@ class CoeffExpr:
     __slots__ = ("_fn",)
     depth = 1  # levels of the tree from this node down; a leaf is one
     state = False  # reads x or v: true when any child does
+    constant = False  # reads neither t nor x nor v: true when every child does
 
     @property
     def compiled(self) -> Callable[[float], float]:
@@ -110,6 +113,7 @@ def _wrap(x) -> CoeffExpr:
 
 class Const(CoeffExpr):
     __slots__ = ("value",)
+    constant = True
 
     def __init__(self, value):
         object.__setattr__(self, "value", Fraction(value))
@@ -160,7 +164,7 @@ class StateVar(CoeffExpr):
 
 
 class _Binary(CoeffExpr):
-    __slots__ = ("left", "right", "depth", "state")
+    __slots__ = ("left", "right", "depth", "state", "constant")
     symbol = "?"
 
     def __init__(self, left: CoeffExpr, right: CoeffExpr):
@@ -168,6 +172,7 @@ class _Binary(CoeffExpr):
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "depth", 1 + max(left.depth, right.depth))
         object.__setattr__(self, "state", left.state or right.state)
+        object.__setattr__(self, "constant", left.constant and right.constant)
 
     def _emit(self, k):  # Add, Sub, Mul
         left, right = k.operand(self.left), k.operand(self.right)
@@ -216,7 +221,7 @@ class Div(_Binary):
 
 
 class Pow(CoeffExpr):
-    __slots__ = ("base", "exponent", "depth", "state")
+    __slots__ = ("base", "exponent", "depth", "state", "constant")
 
     def __init__(self, base: CoeffExpr, exponent: int):
         if not isinstance(exponent, int):
@@ -225,6 +230,7 @@ class Pow(CoeffExpr):
         object.__setattr__(self, "exponent", exponent)
         object.__setattr__(self, "depth", 1 + base.depth)
         object.__setattr__(self, "state", base.state)
+        object.__setattr__(self, "constant", base.constant)
 
     def _emit(self, k):
         base = k.operand(self.base)
@@ -244,13 +250,14 @@ class Pow(CoeffExpr):
 
 
 class _Unary(CoeffExpr):
-    __slots__ = ("arg", "depth", "state")
+    __slots__ = ("arg", "depth", "state", "constant")
     fname = "?"
 
     def __init__(self, arg: CoeffExpr):
         object.__setattr__(self, "arg", arg)
         object.__setattr__(self, "depth", 1 + arg.depth)
         object.__setattr__(self, "state", arg.state)
+        object.__setattr__(self, "constant", arg.constant)
 
     def _emit(self, k):  # Sin, Cos
         return k.emit(self, f"{self.fname}({k.operand(self.arg)})")
@@ -359,12 +366,18 @@ class _Source:
     once.  Two subtrees with the same text compute the same value with the
     same check outcomes, so the first occurrence, which the tree walk would
     evaluate first, is the one that runs and whose node a failing check names.
+
+    With ``fold``, a compound node that reads neither ``t`` nor the state
+    is evaluated once, here, by the lines it would add, and its operand is
+    that value as a constant.  When those lines raise, the node's lines go
+    into the kernel instead, so that it raises at the kernel's ``t``.
     """
 
-    def __init__(self):
+    def __init__(self, fold: bool = True):
+        self.fold = fold
         self.lines: list[str] = []
         self.bound: dict[str, object] = {}  # global name -> constant or node
-        self.consts: dict[tuple, str] = {}  # (type, value) -> global name
+        self.consts: dict[tuple, str] = {}  # (type, repr) -> global name
         self.locals: dict[str, str] = {}  # expression text -> local name
         self.tested: set[str] = set()  # guard conditions already emitted
         self.seen: dict[int, str] = {}  # id(node) -> operand
@@ -372,8 +385,17 @@ class _Source:
     def operand(self, node: CoeffExpr) -> str:
         name = self.seen.get(id(node))
         if name is None:
-            name = self.seen[id(node)] = node._emit(self)
+            name = self.seen[id(node)] = self.folded(node) or node._emit(self)
         return name
+
+    def folded(self, node: CoeffExpr) -> str | None:
+        """The constant holding a foldable node's value; None if it raises."""
+        if not (self.fold and node.constant) or isinstance(node, Const):
+            return None
+        try:
+            return self.const(_kernel((node,), True, fold=False)(0.0))
+        except DomainError:
+            return None
 
     def bind(self, prefix: str, obj) -> str:
         name = f"{prefix}{len(self.bound)}"
@@ -381,7 +403,8 @@ class _Source:
         return name
 
     def const(self, value: float | int) -> str:
-        key = (type(value), value)  # an int exponent is not a float constant
+        # an int exponent is not a float constant, and -0.0 is not 0.0
+        key = (type(value), repr(value))
         if key not in self.consts:
             self.consts[key] = self.bind("c", value)
         return self.consts[key]
@@ -424,9 +447,10 @@ class _Source:
         return f"raise DomainError(t, {self.bind('n', node)}, {reason!r})"
 
 
-def _generate(exprs: tuple, single: bool) -> tuple[str, dict[str, object]]:
+def _generate(exprs: tuple, single: bool,
+              fold: bool = True) -> tuple[str, dict[str, object]]:
     """The source of the kernel for ``exprs`` and the globals it binds."""
-    k = _Source()
+    k = _Source(fold)
     values = [k.operand(e) for e in exprs]
     k.lines.append("return " + (
         values[0] if single else "(" + "".join(f"{v}, " for v in values) + ")"))
@@ -442,8 +466,8 @@ def _code(source: str):
     return compile(source, "<coeffexpr kernel>", "exec")
 
 
-def _kernel(exprs: tuple, single: bool) -> Callable:
-    source, bound = _generate(exprs, single)
+def _kernel(exprs: tuple, single: bool, fold: bool = True) -> Callable:
+    source, bound = _generate(exprs, single, fold)
     namespace = {**_RUNTIME, **bound}
     exec(_code(source), namespace)
     return namespace["kernel"]

@@ -301,28 +301,20 @@ _A = (
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
 
-def _rhs_checked(rhs, t: float, x: float, v: float) -> tuple[float, float]:
-    try:
-        dx, dv = rhs(t, x, v)
-    except OverflowError:  # float ** raises where * would give inf
-        raise NonFinite(t) from None
-    if not (math.isfinite(dx) and math.isfinite(dv)):
-        raise NonFinite(t)
-    return dx, dv
-
-
 def _hermite_fill(out, grid, j, last, t, h, x0, v0, f0, x1, v1, f1) -> int:
     """Append (x, v) at grid[j], grid[j + 1], ... before grid[last] up to
     t + h; return the next j.  x is the quintic in theta = (time - t)/h with
     value, slope and curvature (x0, v0, f0) at t and (x1, v1, f1) at t + h;
     v is its derivative."""
+    t1 = t + h
+    if grid[j] > t1:  # the step fills no grid time
+        return j
     d, a, b, p, q = x1 - x0, h * v0, h * v1, h * h * f0, h * h * f1
     c2 = 0.5 * p
     c3 = 10 * d - 6 * a - 4 * b - 1.5 * p + 0.5 * q
     c4 = -15 * d + 8 * a + 7 * b + 1.5 * p - q
     c5 = 6 * d - 3 * a - 3 * b - 0.5 * p + 0.5 * q
     s3, s4, s5 = 3 * c3, 4 * c4, 5 * c5
-    t1 = t + h
     while j < last and grid[j] <= t1:
         th = (grid[j] - t) / h
         out.append((x0 + th * (a + th * (c2 + th * (c3 + th * (c4 + th * c5)))),
@@ -344,6 +336,11 @@ def integrate(
     By default every grid state is a step's own.  With ``dense``, steps are
     clipped only to the last grid time, which gets the last step's state;
     ``_hermite_fill`` fills the others at no extra right-hand-side call.
+
+    Time is kept local: steps advance tau from 0.0 towards g - t0 for each
+    grid time g, and the right-hand side is evaluated at t0 + tau, so a
+    large t0 does not round the steps to its float spacing.  A grid time
+    less than STEP_UNDERFLOW_FACTOR times the window ahead counts as reached.
 
     Local error per step is controlled against the mixed scale
     atol + rtol*|y| with atol = rtol = tol.  Raises BlowUp when the step
@@ -367,14 +364,15 @@ def integrate(
     (_, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43),
      (a50, a51, a52, a53, a54), (a60, a61, a62, a63, a64, a65)) = _A
     e0, e1, e2, e3, e4, e5, e6 = _B4
-    rhs = sys.rhs
+    rhs, isfinite, sqrt = sys.rhs, math.isfinite, math.sqrt
 
-    span = max(grid[-1] - t0, 1e-300)
+    taus = [g - t0 for g in grid]  # the grid in local time
+    span = max(taus[-1], 1e-300)
     h_min = STEP_UNDERFLOW_FACTOR * span
     budget = STEP_BUDGET + len(grid) - 1
     atol = rtol = tol
 
-    t = t0
+    t = 0.0
     x, v = float(ic[0]), float(ic[1])
     out_states = [(x, v)]
     # The stage sums below are written out term by term in tableau order:
@@ -388,74 +386,104 @@ def integrate(
     h = span / 100.0
     err_prev = 1.0
     steps = rejected = 0
-    k0x, k0v = _rhs_checked(rhs, t + c0 * h, x, v)
-    # dense output steps to grid[last], filling grid[j:last] on the way
+    # each stage time is stored in ts before its call, so an OverflowError
+    # (float ** raises where * would give inf) is reported at that stage
+    ts = t0 + (t + c0 * h)
+    try:
+        k0x, k0v = rhs(ts, x, v)
+    except OverflowError:
+        raise NonFinite(ts) from None
+    if not (isfinite(k0x) and isfinite(k0v)):
+        raise NonFinite(ts)
+    # dense output steps to taus[last], filling taus[j:last] on the way
     last = len(grid) - 1
     j = 1 if dense else last
 
-    for t_target in (grid[1:][-1:] if dense else grid[1:]):
-        while t < t_target:
-            h = min(h, t_target - t)
+    for t_target in (taus[1:][-1:] if dense else taus[1:]):
+        # a grid time less than h_min ahead counts as reached: a step that
+        # short would read as a blow-up.  min and max below are comparisons
+        # that pick as the builtins do
+        while (rest := t_target - t) >= h_min:
+            if rest < h:
+                h = rest
             if h < h_min:
-                raise BlowUp(t)
+                raise BlowUp(t0 + t)
             if steps == budget:
-                raise StepBudgetExceeded(t, budget)
+                raise StepBudgetExceeded(t0 + t, budget)
             # stages 1..6; stage 0 is the last stage of the previous
             # accepted step, or kept from the rejected attempt
-            k1x, k1v = _rhs_checked(
-                rhs, t + c1 * h, x + h * (a10 * k0x), v + h * (a10 * k0v))
-            k2x, k2v = _rhs_checked(
-                rhs, t + c2 * h,
-                x + h * (a20 * k0x + a21 * k1x),
-                v + h * (a20 * k0v + a21 * k1v))
-            k3x, k3v = _rhs_checked(
-                rhs, t + c3 * h,
-                x + h * (a30 * k0x + a31 * k1x + a32 * k2x),
-                v + h * (a30 * k0v + a31 * k1v + a32 * k2v))
-            k4x, k4v = _rhs_checked(
-                rhs, t + c4 * h,
-                x + h * (a40 * k0x + a41 * k1x + a42 * k2x + a43 * k3x),
-                v + h * (a40 * k0v + a41 * k1v + a42 * k2v + a43 * k3v))
-            k5x, k5v = _rhs_checked(
-                rhs, t + c5 * h,
-                x + h * (a50 * k0x + a51 * k1x + a52 * k2x + a53 * k3x
-                         + a54 * k4x),
-                v + h * (a50 * k0v + a51 * k1v + a52 * k2v + a53 * k3v
-                         + a54 * k4v))
-            y5x = x + h * (a60 * k0x + a61 * k1x + a62 * k2x + a63 * k3x
-                           + a64 * k4x + a65 * k5x)
-            y5v = v + h * (a60 * k0v + a61 * k1v + a62 * k2v + a63 * k3v
-                           + a64 * k4v + a65 * k5v)
-            k6x, k6v = _rhs_checked(rhs, t + c6 * h, y5x, y5v)
+            try:
+                ts = t0 + (t + c1 * h)
+                k1x, k1v = rhs(ts, x + h * (a10 * k0x), v + h * (a10 * k0v))
+                if not (isfinite(k1x) and isfinite(k1v)):
+                    raise NonFinite(ts)
+                ts = t0 + (t + c2 * h)
+                k2x, k2v = rhs(ts, x + h * (a20 * k0x + a21 * k1x),
+                               v + h * (a20 * k0v + a21 * k1v))
+                if not (isfinite(k2x) and isfinite(k2v)):
+                    raise NonFinite(ts)
+                ts = t0 + (t + c3 * h)
+                k3x, k3v = rhs(ts, x + h * (a30 * k0x + a31 * k1x + a32 * k2x),
+                               v + h * (a30 * k0v + a31 * k1v + a32 * k2v))
+                if not (isfinite(k3x) and isfinite(k3v)):
+                    raise NonFinite(ts)
+                ts = t0 + (t + c4 * h)
+                k4x, k4v = rhs(
+                    ts, x + h * (a40 * k0x + a41 * k1x + a42 * k2x + a43 * k3x),
+                    v + h * (a40 * k0v + a41 * k1v + a42 * k2v + a43 * k3v))
+                if not (isfinite(k4x) and isfinite(k4v)):
+                    raise NonFinite(ts)
+                ts = t0 + (t + c5 * h)
+                k5x, k5v = rhs(
+                    ts, x + h * (a50 * k0x + a51 * k1x + a52 * k2x + a53 * k3x
+                                 + a54 * k4x),
+                    v + h * (a50 * k0v + a51 * k1v + a52 * k2v + a53 * k3v
+                             + a54 * k4v))
+                if not (isfinite(k5x) and isfinite(k5v)):
+                    raise NonFinite(ts)
+                y5x = x + h * (a60 * k0x + a61 * k1x + a62 * k2x + a63 * k3x
+                               + a64 * k4x + a65 * k5x)
+                y5v = v + h * (a60 * k0v + a61 * k1v + a62 * k2v + a63 * k3v
+                               + a64 * k4v + a65 * k5v)
+                ts = t0 + (t + c6 * h)
+                k6x, k6v = rhs(ts, y5x, y5v)
+                if not (isfinite(k6x) and isfinite(k6v)):
+                    raise NonFinite(ts)
+            except OverflowError:
+                raise NonFinite(ts) from None
             y4x = x + h * (e0 * k0x + e1 * k1x + e2 * k2x + e3 * k3x
                            + e4 * k4x + e5 * k5x + e6 * k6x)
             y4v = v + h * (e0 * k0v + e1 * k1v + e2 * k2v + e3 * k3v
                            + e4 * k4v + e5 * k5v + e6 * k6v)
-            if not (math.isfinite(y5x) and math.isfinite(y5v)):
-                raise NonFinite(t)
+            if not (isfinite(y5x) and isfinite(y5v)):
+                raise NonFinite(t0 + t)
+            sx, sv, s5x, s5v = abs(x), abs(v), abs(y5x), abs(y5v)
+            if s5x > sx:
+                sx = s5x
+            if s5v > sv:
+                sv = s5v
             try:
-                err = math.sqrt(
-                    0.5
-                    * (((y5x - y4x) / (atol + rtol * max(abs(x), abs(y5x)))) ** 2
-                       + ((y5v - y4v) / (atol + rtol * max(abs(v), abs(y5v)))) ** 2)
-                )
+                err = sqrt(0.5 * (((y5x - y4x) / (atol + rtol * sx)) ** 2
+                                  + ((y5v - y4v) / (atol + rtol * sv)) ** 2))
             except OverflowError:  # too large to square: reject the step
                 err = math.inf
             steps += 1
             if err <= 1.0:
                 if j < last:
-                    j = _hermite_fill(out_states, grid, j, last, t, h,
+                    j = _hermite_fill(out_states, taus, j, last, t, h,
                                       x, v, k0v, y5x, y5v, k6v)
                 t = t + h
                 x, v = y5x, y5v
                 k0x, k0v = k6x, k6v
                 # PI controller (Hairer-style exponents for a 5th order pair)
                 factor = 0.9 * (err + 1e-300) ** -0.14 * (err_prev + 1e-300) ** 0.08
-                err_prev = max(err, 1e-10)
+                err_prev = 1e-10 if 1e-10 > err else err
             else:
                 rejected += 1
-                factor = max(0.9 * (err + 1e-300) ** -0.2, 0.2)
-            h = h * min(max(factor, 0.2), 5.0)
+                factor = 0.9 * (err + 1e-300) ** -0.2
+            if 0.2 > factor:
+                factor = 0.2
+            h = h * (5.0 if 5.0 < factor else factor)
         out_states.append((x, v))
 
     # FSAL: six calls an attempted step, and the first stage

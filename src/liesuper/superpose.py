@@ -173,31 +173,35 @@ class SuperpositionBasis:
     def positions(self, lam1, lam2, eps_gen):
         """x0 up to the first tripped guard, min |denominator|, that Degenerate."""
         xs: list[float] = []
+        append = xs.append
         min_den = float("inf")
         lam12 = lam1 * lam2
         # |den| > bound * scale rules the guard out without its max over the
         # terms: every |term| is at most scale * max(1, |lam1|, |lam2|,
         # |lam12|), and the factor 2 covers the rounding of both bounds
         bound = 2.0 * eps_gen * max(1.0, abs(lam1), abs(lam2), abs(lam12))
-        for t, (F431, D1, D2, F421, G3124, G2134, x2F431, x3F421,
-                scale) in zip(self.times, self._x_rows):
+        for (F431, D1, D2, F421, G3124, G2134, x2F431, x3F421,
+             scale) in self._x_rows:
             num = x2F431 - G3124 * lam2 - G2134 * lam1 + x3F421 * lam1 * lam2
-            terms = (F431, D1 * lam1, D2 * lam2, lam12 * F421)
-            den = sum(terms)
+            # sum() of the four terms, from its integer 0: a -0.0 first term
+            # gives 0.0, and Fractions stay Fractions
+            den = 0 + F431 + D1 * lam1 + D2 * lam2 + lam12 * F421
             a = abs(den)
-            if not a > bound * scale and a <= eps_gen * max(
-                    1.0, max(map(abs, terms))):
-                return xs, min_den, Degenerate("superposition denominator", den, t)
+            if not a > bound * scale and a <= eps_gen * max(1.0, max(map(
+                    abs, (F431, D1 * lam1, D2 * lam2, lam12 * F421)))):
+                return xs, min_den, Degenerate("superposition denominator",
+                                               den, self.times[len(xs)])
             if a < min_den:
                 min_den = a
-            xs.append(num / den)
+            append(num / den)
         return xs, min_den, None
 
     def velocities(self, xs, lam1, eps_gen) -> list[float]:
         """v0 from inverting Lambda1 at the positions ``xs`` (leading times)."""
         vs = []
-        for t, x0, (x1, v1, x2, v2, x3, v3, d21, d13, F431, F421, d21F431,
-                    d13F421) in zip(self.times, xs, self._v_rows):
+        append = vs.append
+        for x0, (x1, v1, x2, v2, x3, v3, d21, d13, F431, F421, d21F431,
+                 d13F421) in zip(xs, self._v_rows):
             num = (
                 v1 * (x2 - x0) + v2 * (x0 - x1) + (x1 - x0) * (x0 - x2) * d21
             ) * F431 + (
@@ -206,8 +210,8 @@ class SuperpositionBasis:
             den = d21F431 + d13F421 * lam1
             a = abs(num)
             if abs(den) <= eps_gen * (a if a > 1.0 else 1.0):  # max(1.0, |num|)
-                raise Degenerate("v0-denominator", den, t)
-            vs.append(num / den)
+                raise Degenerate("v0-denominator", den, self.times[len(vs)])
+            append(num / den)
         return vs
 
     def evaluate(self, lam1, lam2, eps_gen) -> tuple[list[State], float]:

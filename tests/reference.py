@@ -160,13 +160,18 @@ def _rhs_checked(sys, t, y):
 
 
 def dopri5_reference(sys, ic, t0, grid, tol, dense=False):
-    """Same contract as ``liesuper.odeint.integrate``, seven stages a step."""
+    """Same contract as ``liesuper.odeint.integrate``, seven stages a step.
+
+    Time is local: t runs from 0.0 to g - t0 for each grid time g, and the
+    right-hand side and every error see t0 + t.
+    """
     grid = list(grid)
-    span = max(grid[-1] - t0, 1e-300)
+    local = [g - t0 for g in grid]
+    span = max(local[-1], 1e-300)
     h_min = STEP_UNDERFLOW_FACTOR * span
     atol = rtol = tol
 
-    t = t0
+    t = 0.0
     y = (float(ic[0]), float(ic[1]))
     out_states = [y]
     h = span / 100.0
@@ -174,14 +179,14 @@ def dopri5_reference(sys, ic, t0, grid, tol, dense=False):
     steps = rejected = 0
     accepted = []  # (t, h, y, F at y, y5, F at y5) of every accepted step
 
-    for t_target in grid[1:][-1:] if dense else grid[1:]:
-        while t < t_target:
+    for t_target in local[1:][-1:] if dense else local[1:]:
+        while t_target - t >= h_min:  # a shorter rest counts as reached
             h = min(h, t_target - t)
             if h < h_min:
-                raise BlowUp(t)
+                raise BlowUp(t0 + t)
             k = []
             for s in range(7):
-                ts = t + _C[s] * h
+                ts = t0 + (t + _C[s] * h)
                 ys = tuple(
                     y[i] + h * _sum_from_zero(_A[s][j] * k[j][i] for j in range(s))
                     for i in range(2)
@@ -196,7 +201,7 @@ def dopri5_reference(sys, ic, t0, grid, tol, dense=False):
                 for i in range(2)
             )
             if not all(math.isfinite(c) for c in y5):
-                raise NonFinite(t)
+                raise NonFinite(t0 + t)
             err = math.sqrt(
                 0.5
                 * _sum_from_zero(
@@ -221,7 +226,7 @@ def dopri5_reference(sys, ic, t0, grid, tol, dense=False):
         inner = []
         steps_left = iter(accepted)
         step = next(steps_left)
-        for g in grid[1:-1]:
+        for g in local[1:-1]:
             while not g <= step[0] + step[1]:
                 step = next(steps_left)
             inner.append(_quintic_hermite(g, *step))

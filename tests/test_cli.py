@@ -364,9 +364,6 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "step budget" in err and "t = " in err
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "near t = 1e14 time advances by fl(t + h) - t while the stages "
-        "assume h, so the run ends off the exact solution and exits 0"))
     def test_exact_end_state_at_1e14(self, tmp_path, capsys):
         # x = 1/(1 + t - t0) solves mdpi with f = 0 from (1, -1)
         cfg = dict(SOLVE_BASE, interval=[100000000000000, 100000000000001],
@@ -375,6 +372,16 @@ class TestSolve:
         assert code == 0
         x_end = float(capsys.readouterr().out.splitlines()[-1].split(",")[1])
         assert abs(x_end - 0.5) < 1e-6
+
+    def test_time_dependent_coefficient_at_1e14(self, tmp_path, capsys):
+        # sin(t) is sampled at the 1/64 spacing of floats near 1e14, but
+        # the steps are not: a bounded solution is not a blow-up
+        cfg = dict(SOLVE_BASE, coefficients={"f": "sin(t)"}, initial=[0.1, 0.2],
+                   interval=[100000000000000, 100000000000001], points=11)
+        code = main(["solve", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()[-11:]
+        assert all(abs(float(row.split(",")[1])) < 1 for row in rows)
 
 
 @pytest.mark.parametrize("command, base", [

@@ -181,6 +181,12 @@ def _compound_keys(e, keys):
     return key
 
 
+def _reads_t(key):
+    """Whether the subtree with structure ``key`` reads t."""
+    return key == ("t",) or any(
+        isinstance(part, tuple) and _reads_t(part) for part in key)
+
+
 # coefficient slots in the order each family's formula reads them, with a
 # reference right-hand side on tree-walk values
 _FORMULAS = {
@@ -222,10 +228,24 @@ class TestCompileMany:
         distinct = set()
         for e in exprs:
             _compound_keys(e, distinct)
-        # one assignment per distinct subtree: a3 and sqrt(a3), shared by
-        # b0, b1 and a3 itself, are computed once each
-        assert len(re.findall(r"^ +v\d+ = ", source, re.M)) == len(distinct)
+        # one assignment per distinct subtree that reads t: a3 and sqrt(a3),
+        # shared by b0, b1 and a3 itself, are computed once each, and a
+        # constant subtree such as a1 = 3/10 is folded into a constant
+        assert len(re.findall(r"^ +v\d+ = ", source, re.M)) == len(
+            {key for key in distinct if _reads_t(key)}) < len(distinct)
         assert source.count("sqrt(") == 1
+
+    def test_riccati_with_a3_one_folds_sqrt_a3(self):
+        # b0 and b1 read a3 = 1 and sqrt(a3) only through constants, and
+        # the acceleration is still the tree walk's, bit for bit
+        sys = lift_sode("riccati", {"a3": "1", "a2": "sin(t)"})
+        accel = odeint.FAMILIES["riccati"][1](**sys.coeffs)
+        source, _ = _generate((odeint.V, accel), single=False)
+        assert "sqrt(" not in source
+        names, ref = _FORMULAS["riccati"]
+        for t, x, v in ((0.0, 0.5, -1.0), (0.7, -1.5, 2.0)):
+            coeffs = [tree_eval(sys.coeffs[name], t) for name in names]
+            assert sys.rhs(t, x, v)[1].hex() == ref(x, v, *coeffs).hex()
 
     def test_source_depends_only_on_the_shape(self):
         a, b = parse_expr("12345*t + exp(-t^3)"), parse_expr("2*t + exp(-t^5)")
@@ -268,6 +288,40 @@ class TestCompileMany:
         # the acceleration itself reads the state; the coefficients keep checks
         assert re.fullmatch(r" +return \(v, (v\d+), \)", lines[-1])[1] in state
         assert "isfinite(" in source
+
+
+class TestConstantFolding:
+    def test_constant_subtree_is_one_constant(self):
+        e = parse_expr("t + (2/3)*(1 + 1)^3 - sqrt(4)")
+        source, bound = _generate((e,), single=True)
+        assert len(re.findall(r"^ +v\d+ = ", source, re.M)) == 2
+        assert "sqrt(" not in source and "**" not in source
+        assert _outcome(e.eval, 0.3) == _outcome(lambda t: tree_eval(e, t), 0.3)
+
+    def test_failing_constant_raises_at_the_stage_time(self):
+        # 1/(1 - 1) cannot be folded: it stays in the kernel and raises the
+        # tree walk's DomainError, naming its node, at the time of the call
+        sys = lift_sode("mdpi", {"f": "1/(1 - 1)"})
+        node = sys.coeffs["f"]
+        with pytest.raises(DomainError) as exc:
+            sys.rhs(0.25, 1.0, 0.0)
+        assert (exc.value.node, exc.value.reason, exc.value.t) == (
+            node, "division by zero", 0.25)
+        with pytest.raises(DomainError) as exc:
+            odeint.integrate(sys, (1.0, 0.0), 0.5, [0.5, 1.0], 1e-8)
+        assert (exc.value.node, exc.value.t) == (node, 0.5)
+
+    def test_folded_negative_zero_keeps_its_sign(self):
+        # -0.0 == 0.0, so a constant table keyed by value alone would hand
+        # both the same global
+        exprs = (Neg(Const(0)), Const(0), Mul(TimeVar(), Neg(Const(0))),
+                 Div(Const(1), Neg(Const(0))))
+        assert _outcomes(compile_many(exprs[:3]), 2.0) == _outcomes(
+            lambda t: [tree_eval(e, t) for e in exprs[:3]], 2.0)
+        assert _outcomes(compile_many(exprs[:3]), 2.0)[1][0] == "-0x0.0p+0"
+        # 1/(-0.0) divides by zero: not folded, and raised at t
+        assert _outcome(exprs[3].eval, 2.0) == _outcome(
+            lambda t: tree_eval(exprs[3], t), 2.0)
 
 
 class TestDiff:

@@ -277,6 +277,47 @@ class TestAgainstReference:
             reject()  # no step count to compare with
         assert len(times) == traj.rhs_calls == 6 * traj.steps + 1
 
+    @pytest.mark.parametrize("t0", [0.5, 3.0])
+    def test_local_time_from_t0(self, t0):
+        # in local time the first grid time, (t0 + 2/100) - t0, is a few
+        # ulps past the first step's end 2/100: that rest counts as reached
+        # instead of asking for a step below the blow-up threshold
+        sys = lift_sode("general", FAMILY_COEFFS["general"][1])
+        g = grid(t0, t0 + 2.0, 101)
+        assert g[1] - t0 > 2.0 / 100
+        got = _outcome(integrate, sys, (0.3, -0.2), g, 1e-6)
+        assert got == _outcome(dopri5_reference, sys, (0.3, -0.2), g, 1e-6)
+        assert len(got[0][1]) == 101
+
+    @pytest.mark.parametrize("stage", [3, 5])
+    @pytest.mark.parametrize("failure", ["inf", "overflow"])
+    @pytest.mark.parametrize("t0", [0.0, 0.5])
+    def test_failing_stage_is_named_by_its_time(self, stage, failure, t0):
+        # from the time of one stage of the third step on, the rhs returns
+        # inf, or raises OverflowError as float ** does: the run ends in
+        # NonFinite at that stage's time, before any later stage runs
+        sys = lift_sode("general", FAMILY_COEFFS["general"][1])
+        g = grid(t0, t0 + 1.0, 6)
+        counted, times = self._counting(sys)
+        integrate(counted, (0.3, -0.2), t0, g, 1e-8)
+        first = 1 + 6 * 2 + stage - 1  # after stage 0 and two steps
+        threshold = times[first]
+        assert max(times[:first]) < threshold
+        plain = sys.rhs
+
+        def rhs(t, x, v):
+            if t < threshold:
+                return plain(t, x, v)
+            if failure == "overflow":
+                raise OverflowError("math range error")
+            return v, math.inf
+
+        failing = dataclasses.replace(sys, rhs=rhs)
+        got = _outcome(integrate, failing, (0.3, -0.2), g, 1e-8)
+        assert got == _outcome(dopri5_reference, failing, (0.3, -0.2), g, 1e-8)
+        assert got[0] == ("NonFinite", threshold.hex())
+        assert len(got[1]) == first + 1
+
     def test_rejected_steps_reuse_the_first_stage(self):
         g = [0.0, 50.0]
         sys = lift_sode("mdpi")

@@ -19,8 +19,12 @@ IQR, the change's median relative to the parent's, and the pairs in which
 the change read better (``wins``, ties counting for neither).  It also holds
 the seeds, both commits, their ``src/liesuper`` line counts, the Python
 version, the CPU count, and every run's ``correct``, ``attempted`` and
-``failed``.  The file is rewritten after every pair, so a cut run keeps the
-pairs it finished.  Uses the standard library only.
+``failed``.  A run whose report has a ``headline`` (superpose-family: one
+more solution by formula against integrating it) keeps its three figures,
+and the workload holds their medians per side, since a cheaper direct
+integration shrinks ``direct_over_formula``, the paper's ratio.  The file
+is rewritten after every pair, so a cut run keeps the pairs it finished.
+Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = {"verify-exact": 10, "solve-sweep": 5, "superpose-family": 5}
 SEED = 161  # the seed of pair 0
+HEADLINE = ("formula_us_per_point", "direct_us_per_point", "direct_over_formula")
 
 
 def git(*args: str) -> bytes:
@@ -63,7 +68,8 @@ def src_lines(checkout: str) -> int:
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run; its last stdout line, parsed."""
+    """One untraced benchmark run: its last stdout line, parsed, with the
+    headline figures of its report when it has them."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE,
@@ -72,7 +78,14 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     if not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} printed nothing "
                            f"(exit {proc.returncode}): {proc.stderr[-500:]}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    report = os.path.join(checkout, ".perfbench_out",
+                          f"{workload}-seed{seed}-trace0.json")
+    with open(report) as fh:
+        headline = json.load(fh).get("headline")
+    if headline:
+        result["headline"] = {k: headline[k] for k in HEADLINE}
+    return result
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -153,6 +166,10 @@ def main(argv=None) -> int:
                                     for s in commits}
                 entry["failed"] = {s: [r[s]["failed"] for r in runs]
                                    for s in commits}
+                if "headline" in pair["parent"]:
+                    entry["headline_medians"] = {
+                        s: {k: statistics.median(r[s]["headline"][k] for r in runs)
+                            for k in HEADLINE} for s in commits}
                 with open(args.out, "w") as fh:
                     json.dump(result, fh, indent=2)
                     fh.write("\n")
