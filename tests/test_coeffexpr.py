@@ -293,7 +293,7 @@ class TestCompileMany:
 class TestConstantFolding:
     def test_constant_subtree_is_one_constant(self):
         e = parse_expr("t + (2/3)*(1 + 1)^3 - sqrt(4)")
-        source, bound = _generate((e,), single=True)
+        source, _ = _generate((e,), single=True)
         assert len(re.findall(r"^ +v\d+ = ", source, re.M)) == 2
         assert "sqrt(" not in source and "**" not in source
         assert _outcome(e.eval, 0.3) == _outcome(lambda t: tree_eval(e, t), 0.3)
