@@ -210,7 +210,8 @@ class Div(_Binary):
 
     def _emit(self, k):
         den = k.operand(self.right)  # the denominator is evaluated first
-        k.guard(self, f"{den} == 0.0", "division by zero")
+        if not k.bound.get(den):  # a folded nonzero constant needs no test
+            k.guard(self, f"{den} == 0.0", "division by zero")
         return k.emit(self, f"{k.operand(self.left)} / {den}", finite=True)
 
     def diff(self):

@@ -473,78 +473,64 @@ def _cleared(vector) -> tuple[int, dict]:
     }
 
 
+def _bareiss(v: dict, w: dict, piv: int, f: int, prev: int) -> dict:
+    """The Bareiss step (piv v - f w) / prev on sparse integer vectors."""
+    if not f:
+        return {s: piv * x // prev for s, x in v.items()}
+    out = {s: piv * x for s, x in v.items()}
+    for s, x in w.items():
+        out[s] = out.get(s, 0) - f * x
+    return {s: x // prev for s, x in out.items() if x}
+
+
 class Elimination:
     """One exact elimination of a basis of sparse rational vectors.
 
     A vector is a map from slot to rational (``int`` or ``Fraction``); absent
-    slots are zero.  The basis is eliminated once, in basis order, by Bareiss
-    fraction-free elimination (Bareiss 1968) on integer rows, denominators
-    cleared row by row: a vector becomes a pivot row iff it is independent of
-    the vectors before it.  A target is reduced by replaying the same steps;
-    the multipliers it meets, replayed on the combinations of basis vectors
-    the pivot rows stand for, give its coefficients.  Every Bareiss division
-    is exact (each entry is a minor of the integer matrix augmented by the
-    identity).
+    slots are zero.  The basis b_1..b_k is eliminated once, in basis order,
+    by Bareiss fraction-free elimination (Bareiss 1968) on integer rows,
+    denominators cleared row by row (L_j b_j): a vector becomes a pivot row
+    iff it is independent of the vectors before it.  Each row carries its
+    integer combination a of the cleared basis rows through the same steps,
+    so that it always equals sum_j a_j L_j b_j; a basis row starts as its
+    own unit combination.  A target t starts with no combination and leaves
+    as p L t + sum_j a_j L_j b_j, p the last pivot, which gives its
+    coefficients when no residual is left.  Every entry of a row and its
+    combination is a minor of ``[L B | I]`` (the target appended as a row),
+    so every Bareiss division is exact.
     """
 
-    __slots__ = ("rank", "_rows", "_scales", "_pivots", "_origins", "_combos")
+    __slots__ = ("rank", "_rows", "_scales", "_pivots")
 
     def __init__(self, basis: Sequence[dict]):
         self._rows: list[dict] = []  # L_j b_j, each basis vector cleared
         self._scales: list[int] = []  # L_j
-        self._pivots: list[tuple[object, dict, int]] = []  # column, row, pivot
-        self._origins: list[tuple[int, list[int]]] = []  # basis index, factors
+        # column, row, pivot, the row's combination of cleared basis rows
+        self._pivots: list[tuple[object, dict, int, dict]] = []
         for i, v in enumerate(basis):
             scale, row = _cleared(v)
             self._scales.append(scale)
             self._rows.append(row)
-            row, factors, _ = self._reduce(row)
+            row, combo, _ = self._reduce(row, {i: 1})
             if row:
                 col = next(iter(row))
-                self._pivots.append((col, row, row[col]))
-                self._origins.append((i, factors))
+                self._pivots.append((col, row, row[col], combo))
         self.rank = len(self._pivots)
-        # each pivot row as a combination of basis vectors; built by the first
-        # solve, since a rank needs none
-        self._combos: list[list[int]] | None = None
 
-    def _reduce(self, row: dict):
-        """Replay the Bareiss steps on one integer row.
+    def _reduce(self, row: dict, combo: dict):
+        """Run the Bareiss steps on one integer row and its combination.
 
-        Returns the residual, the row's entry in each pivot column as it met
-        that pivot, and the last pivot value (1 when there is none).  A
-        target row reduces to nothing iff it lies in the span.
+        Returns both, and the last pivot (1 when there is none).  A row
+        reduces to nothing iff it lies in the span of the pivot rows.
         """
         prev = 1
-        factors = []
-        for col, prow, piv in self._pivots:
+        for col, prow, piv, pcombo in self._pivots:
             f = row.get(col, 0)
-            factors.append(f)
-            if f:
-                out = {s: piv * x for s, x in row.items()}
-                for s, x in prow.items():
-                    out[s] = out.get(s, 0) - f * x
-                row = {s: x // prev for s, x in out.items() if x}
-            elif piv != prev:
-                row = {s: piv * x // prev for s, x in row.items()}
+            if f or piv != prev:
+                row = _bareiss(row, prow, piv, f, prev)
+                combo = _bareiss(combo, pcombo, piv, f, prev)
             prev = piv
-        return row, factors, prev
-
-    def _combine(self, combo: list[int], factors: list[int]) -> list[int]:
-        """The steps ``_reduce`` took, applied to a combination of basis vectors.
-
-        A row w + sum_j a_j L_j b_j (b_j the basis vectors, L_j their clearing
-        scales) that met ``factors`` leaves as p w + sum_j a'_j L_j b_j, p the
-        last pivot; a' is returned.
-        """
-        prev = 1
-        for (_, _, piv), f, pcombo in zip(self._pivots, factors, self._combos):
-            if f:
-                combo = [(piv * a - f * b) // prev for a, b in zip(combo, pcombo)]
-            elif piv != prev:
-                combo = [piv * a // prev for a in combo]
-            prev = piv
-        return combo
+        return row, combo, prev
 
     def solve(self, target: dict) -> list[Fraction] | None:
         """Exact coefficients c with sum c_i basis_i == target, or None.
@@ -554,29 +540,21 @@ class Elimination:
         exactly before they are returned.
         """
         scale, target_row = _cleared(target)
-        row, factors, last = self._reduce(target_row)
+        row, combo, last = self._reduce(target_row, {})
         if row:
             return None
-        k = len(self._rows)
-        if self._combos is None:
-            self._combos = []
-            for i, pfactors in self._origins:
-                unit = [0] * k
-                unit[i] = 1
-                self._combos.append(self._combine(unit, pfactors))
         # last * L t + sum_j a_j L_j b_j == 0
-        combo = self._combine([0] * k, factors)
         total: dict = {}
-        for a, r in zip(combo, self._rows):
-            if a:
-                for s, x in r.items():
-                    total[s] = total.get(s, 0) + a * x
+        for j, a in combo.items():
+            for s, x in self._rows[j].items():
+                total[s] = total.get(s, 0) + a * x
         if {s: x for s, x in total.items() if x} != {
             s: -last * x for s, x in target_row.items()
         }:
             return None
         den = -scale * last
-        return [Fraction(a * s, den) for a, s in zip(combo, self._scales)]
+        return [Fraction(combo.get(j, 0) * s, den)
+                for j, s in enumerate(self._scales)]
 
 
 def rank_at(fields: Sequence[VectorField], point: Sequence[Scalar]) -> int:

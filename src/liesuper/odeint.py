@@ -210,7 +210,6 @@ class Trajectory:
     tol: float = float("nan")
     steps: int = 0  # attempted steps
     rejected: int = 0  # of which rejected
-    status: str = "ok"
     rhs_calls: int = 0  # right-hand-side evaluations
 
     def __post_init__(self):

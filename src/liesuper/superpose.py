@@ -360,7 +360,7 @@ def _reconstruct(problem: SuperposeProblem, c) -> ReconstructionResult:
     states, min_den = basis.evaluate(lam1, lam2, problem.eps_gen)
     if betas is not None:
         states = [(x, v * b) for (x, v), b in zip(states, betas)]
-    traj = Trajectory(list(grid), states, tol=trajs[0].tol, status="reconstructed")
+    traj = Trajectory(list(grid), states, tol=trajs[0].tol)
     return ReconstructionResult(traj, lam1, lam2, min_den)
 
 

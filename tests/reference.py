@@ -566,7 +566,7 @@ def reconstruct_reference(problem):
         x0, den = _position(s, F431, F421, lam1, lam2, eps, t)
         min_den = min(min_den, abs(den))
         states.append((x0, _velocity(s, F431, F421, x0, lam1, eps, t)))
-    traj = Trajectory(list(grid), states, tol=trajs[0].tol, status="reconstructed")
+    traj = Trajectory(list(grid), states, tol=trajs[0].tol)
     return ReconstructionResult(traj, lam1, lam2, min_den)
 
 
@@ -577,7 +577,7 @@ def superpose_riccati_reference(c, trajectories, constants=None, target=None,
     betas = [c.beta(t) for t in grid]
     moved = [
         Trajectory(list(grid), [(x, v / b) for (x, v), b in zip(tr.states, betas)],
-                   tol=tr.tol, status=tr.status)
+                   tol=tr.tol)
         for tr in trajectories
     ]
     if target is not None:
@@ -587,7 +587,7 @@ def superpose_riccati_reference(c, trajectories, constants=None, target=None,
         eps_gen=eps_gen))
     back = Trajectory(
         list(grid), [(x, v * b) for (x, v), b in zip(res.trajectory.states, betas)],
-        tol=res.trajectory.tol, status="reconstructed")
+        tol=res.trajectory.tol)
     return ReconstructionResult(back, res.lam1, res.lam2, res.min_denominator)
 
 

@@ -323,6 +323,25 @@ class TestConstantFolding:
         assert _outcome(exprs[3].eval, 2.0) == _outcome(
             lambda t: tree_eval(exprs[3], t), 2.0)
 
+    @pytest.mark.parametrize("coeffs", [{"a3": "1", "a2": "sin(t)"},
+                                        {"a3": "1 + t^2/4"}])
+    def test_folded_nonzero_denominator_is_not_tested(self, coeffs):
+        # v0 / sqrt(1) and t^2 / 4 divide by constants that folded to a
+        # nonzero value; only denominators that read t keep their test
+        sys = lift_sode("riccati", coeffs)
+        accel = odeint.FAMILIES["riccati"][1](**sys.coeffs)
+        source, bound = _generate((odeint.V, accel), single=False)
+        tested = re.findall(r"if (\w+) == 0\.0:", source)
+        assert not any(name in bound for name in tested)
+        if coeffs["a3"] == "1":
+            assert tested == []
+
+    def test_folded_zero_denominator_keeps_its_test(self):
+        sys = lift_sode("mdpi", {"f": "t/(1 - 1)"})
+        with pytest.raises(DomainError) as exc:
+            sys.rhs(0.5, 1.0, 0.0)
+        assert str(exc.value) == "division by zero in (t / (1 - 1)) at t=0.5"
+
 
 class TestDiff:
     @pytest.mark.parametrize(

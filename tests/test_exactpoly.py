@@ -310,6 +310,24 @@ class TestElimination:
         assert span.solve({7: 1}) is None
         assert span.solve({}) == [0, 0, 0, 0]
 
+    @pytest.mark.parametrize("point, rank", [
+        ("1/2,-1/3,2,5/7,1,0,-2/5,3", 8),  # generic
+        ("1/2,1/2,2,5/7,1,1,-2/5,3", 6),  # copy 1 duplicates copy 0
+    ])
+    def test_rank_rows_match_references(self, point, rank):
+        # the eight rows rank_at eliminates for `liesuper rank`: the sl(3)
+        # fields prolonged to four copies, at a rational point
+        pt = [Fraction(p) for p in point.split(",")]
+        fields8 = [prolong(X, 4) for X in builtin_fields("sl3-family")]
+        rows = [dict(enumerate(f.eval(pt))) for f in fields8]
+        span = Elimination(rows)
+        assert span.rank == rank_at(fields8, pt) == rank
+        assert span.rank == reference.fraction_free_rank(_dense(rows))
+        expected = reference.ReferenceElimination(rows)
+        mixed = _combine([Fraction(i - 3, i + 1) for i in range(8)], rows)
+        for target in rows + [mixed]:
+            assert span.solve(target) == expected.solve(target)
+
     def test_empty_basis(self):
         span = Elimination([])
         assert span.rank == 0

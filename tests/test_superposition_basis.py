@@ -51,7 +51,7 @@ def outcome(fn):
         [bits(t) for t in tr.times],
         [(bits(x), bits(v)) for x, v in tr.states],
         bits(r.lam1), bits(r.lam2), bits(r.min_denominator),
-        bits(tr.tol), tr.status,
+        bits(tr.tol),
     )
 
 
