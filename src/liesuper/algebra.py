@@ -338,6 +338,20 @@ def _coeff_str(coeffs: Sequence[Fraction]) -> str:
     return " + ".join(f"({c})*e{i}" for i, c in items)
 
 
+def _add_coeffs(report: Report, name: str, expected, computed) -> None:
+    """Record coefficients against the expected ones; None is outside span."""
+    report.add(name, _coeff_str(expected), "outside span" if computed is None
+               else _coeff_str(computed), computed == expected)
+
+
+def _table(fields, table) -> StructureTable | NotClosed:
+    """``table``, or else that of ``fields`` (by default the sl3 family)."""
+    if table is not None:
+        return table
+    return _structure_or_not_closed(
+        list(fields) if fields is not None else builtin_fields("sl3-family"))
+
+
 def verify_paper_table(
     fields: Sequence[VectorField] | None = None,
     table: StructureTable | NotClosed | None = None,
@@ -349,22 +363,15 @@ def verify_paper_table(
     :func:`_structure_or_not_closed` of the fields when the caller has it
     already; by default it is computed here.
     """
-    basis = list(fields) if fields is not None else builtin_fields("sl3-family")
     report = Report("bracket table of {X1..X8} vs printed relations")
-    if table is None:
-        table = _structure_or_not_closed(basis)
+    table = _table(fields, table)
     if isinstance(table, NotClosed):
         _add_not_closed(report, table, note=f"bracket = {table.bracket}")
         return report
     for pair, printed in PRINTED_SL3_TABLE.items():
         computed = table[pair]
-        expected = _dense(printed, len(computed))
-        report.add(
-            f"[X{pair[0]},X{pair[1]}]",
-            _coeff_str(expected),
-            _coeff_str(computed),
-            computed == expected,
-        )
+        _add_coeffs(report, f"[X{pair[0]},X{pair[1]}]",
+                    _dense(printed, len(computed)), computed)
     return report
 
 
@@ -379,7 +386,6 @@ def verify_isomorphism(
     that [Ma, Mb] and [Xa, Xb] resolve to identical coefficient vectors.
     ``table`` is as for :func:`verify_paper_table`.
     """
-    basis = list(fields) if fields is not None else builtin_fields("sl3-family")
     mats = sl3_matrices()
     report = Report("matrix realisation of the {X1..X8} bracket table")
 
@@ -390,8 +396,7 @@ def verify_isomorphism(
     span = Elimination([dict(enumerate(M.flat())) for M in mats])
     report.add("rank of {M1..M8}", 8, span.rank, span.rank == len(mats))
 
-    if table is None:
-        table = _structure_or_not_closed(basis)
+    table = _table(fields, table)
     if isinstance(table, NotClosed):
         _add_not_closed(report, table)
         return report
@@ -400,14 +405,9 @@ def verify_isomorphism(
     for a in range(n):
         for b in range(a + 1, n):
             mb = matrix_bracket(mats[a], mats[b])
-            mc = span.solve(dict(enumerate(mb.flat())))
-            xc = table[(a + 1, b + 1)]
-            report.add(
-                f"[M{a+1},M{b+1}] vs [X{a+1},X{b+1}]",
-                _coeff_str(xc),
-                _coeff_str(mc) if mc is not None else "outside span",
-                mc == xc,
-            )
+            _add_coeffs(report, f"[M{a+1},M{b+1}] vs [X{a+1},X{b+1}]",
+                        table[(a + 1, b + 1)],
+                        span.solve(dict(enumerate(mb.flat()))))
     return report
 
 
@@ -432,15 +432,8 @@ def verify_scheme() -> Report:
         report.add(f"Y{w} in V", "member", "member" if c else "outside", c is not None)
 
     for (w, j), printed in PRINTED_SCHEME_TABLE.items():
-        bracket = lie_bracket(Y[w - 1], Y[j - 1])
-        coeffs = span.solve(bracket.slots())
-        expected = _dense(printed, len(Y))
-        report.add(
-            f"[Y{w},Y{j}]",
-            _coeff_str(expected),
-            _coeff_str(coeffs) if coeffs is not None else "outside span",
-            coeffs == expected,
-        )
+        _add_coeffs(report, f"[Y{w},Y{j}]", _dense(printed, len(Y)),
+                    span.solve(lie_bracket(Y[w - 1], Y[j - 1]).slots()))
 
     coords = XV_COORDS
     x = Polynomial.variable("x", coords)

@@ -499,6 +499,8 @@ class ParseError(ValueError):
 
 
 _FUNCTIONS = {"sin": Sin, "cos": Cos, "exp": Exp, "sqrt": Sqrt}
+# str.isdigit also holds for '²' and '٣', which int() refuses or Fraction reads
+_DIGITS = frozenset("0123456789")
 
 # deepest tree, and deepest nesting of brackets, calls and signs, the parser
 # accepts.  The parser, code generation, ``diff`` and ``str`` recurse once per
@@ -596,7 +598,7 @@ class _Parser:
                 sign = -1
             self.skip_ws()
             start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
                 self.pos += 1
             if start == self.pos:
                 raise self.error("expected an integer exponent after '^'")
@@ -610,7 +612,7 @@ class _Parser:
             node = self.inside(self.expr)
             self.take(")")
             return node
-        if c.isdigit() or c == ".":
+        if c in _DIGITS or c == ".":
             return self.number()
         if c.isalpha():
             start = self.pos
@@ -633,7 +635,7 @@ class _Parser:
         seen_dot = False
         while self.pos < len(self.text):
             ch = self.text[self.pos]
-            if ch.isdigit():
+            if ch in _DIGITS:
                 self.pos += 1
             elif ch == "." and not seen_dot:
                 seen_dot = True

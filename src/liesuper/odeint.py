@@ -201,12 +201,12 @@ def lift_sode(family: str, coeffs: dict | None = None,
     return _system(family, exprs)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
-    """A solution sampled on a strictly increasing time grid."""
+    """A solution sampled on a strictly increasing time grid; frozen."""
 
-    times: list[float]
-    states: list[tuple[float, float]]
+    times: Sequence[float]
+    states: Sequence[tuple[float, float]]
     tol: float = float("nan")
     steps: int = 0  # attempted steps
     rejected: int = 0  # of which rejected
@@ -348,9 +348,9 @@ def integrate(
     StepBudgetExceeded after STEP_BUDGET attempted steps beyond one per grid
     interval.  An error estimate too large for a float rejects the step.
     ``Trajectory.steps`` counts attempted steps, ``rejected`` the rejected,
-    and ``rhs_calls`` the right-hand-side evaluations.
+    ``rhs_calls`` the rhs evaluations; its times and rows are tuples.
     """
-    grid = list(grid)
+    grid = tuple(grid)
     if not grid or grid[0] != t0:
         raise ValueError("grid must start at t0")
     for a, b in zip(grid, grid[1:]):
@@ -486,8 +486,8 @@ def integrate(
         out_states.append((x, v))
 
     # FSAL: six calls an attempted step, and the first stage
-    return Trajectory(grid, out_states, tol=tol, steps=steps, rejected=rejected,
-                      rhs_calls=6 * steps + 1)
+    return Trajectory(grid, tuple(out_states), tol=tol, steps=steps,
+                      rejected=rejected, rhs_calls=6 * steps + 1)
 
 
 def residual(sys: FirstOrderSystem, traj: Trajectory) -> float:

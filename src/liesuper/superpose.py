@@ -271,8 +271,9 @@ class SuperposeProblem:
     def __post_init__(self):
         if len(self.trajectories) != 4:
             raise ValueError("exactly four particular trajectories are required")
-        grid = self.trajectories[0].times
-        if any(traj.times != grid for traj in self.trajectories[1:]):
+        # values, whatever the container: tuple() copies only a list
+        grid = tuple(self.trajectories[0].times)
+        if any(tuple(traj.times) != grid for traj in self.trajectories[1:]):
             raise ValueError("all four trajectories must share one time grid")
         _check_one_of(self.constants, self.target)
 
@@ -310,30 +311,26 @@ class ReconstructionResult:
         }
 
 
-_last_basis: tuple = ((), None)  # (the objects seen, (beta row, basis))
-
-
-def _same_objects(a, b) -> bool:
-    return len(a) == len(b) and all(map(is_, a, b))
+_last_basis: tuple = ((), None)  # ((*trajectories, c), (beta row, basis))
 
 
 def _reconstruct(problem: SuperposeProblem, c) -> ReconstructionResult:
     """The superposition rule on the whole grid, in scheme coordinates when
     ``c`` (a RiccatiCoeffs) is given: v' = v / beta(t) in, v = beta(t) v' out.
 
-    The beta row and basis come from a one-entry memo.  Reuse needs the same
-    four trajectories and ``c``, and the first trajectory's times and all
-    state rows to be the objects seen at build time.  Those are immutable
-    tuples, so a hit returns what a rebuild would; non-tuple rows rebuild.
+    The beta row and basis come from a one-entry memo keyed on the four
+    trajectories and ``c`` by identity.  Trajectory is frozen, so a basis
+    from tuple times and rows (as ``integrate`` gives) is kept and a hit
+    returns what a rebuild would; list-backed trajectories rebuild.
     """
     global _last_basis
     trajs = problem.trajectories
     grid = trajs[0].times
     if problem.target is not None:
         i_fit = _fit_index(grid, problem.fit_time)
-    seen = [(*trajs, c), grid, *(traj.states for traj in trajs)]
+    key = (*trajs, c)
     last, built = _last_basis
-    if not (len(seen) == len(last) and all(map(_same_objects, seen, last))):
+    if not (len(key) == len(last) and all(map(is_, key, last))):
         _last_basis = ((), None)  # not two bases alive while building
         rows = zip(*(traj.states for traj in trajs))
         if c is None:
@@ -342,8 +339,9 @@ def _reconstruct(problem: SuperposeProblem, c) -> ReconstructionResult:
             betas = [c.beta(t) for t in grid]
             built = betas, SuperpositionBasis(grid, (
                 [(x, v / b) for x, v in slots] for b, slots in zip(betas, rows)))
-        if all({tuple}.issuperset(map(type, traj.states)) for traj in trajs):
-            _last_basis = ([list(r) for r in seen], built)
+        if all({tuple}.issuperset(map(type, (traj.times, traj.states, *traj.states)))
+               for traj in trajs):
+            _last_basis = (key, built)
     betas, basis = built
 
     if problem.constants is not None:

@@ -231,7 +231,7 @@ def dopri5_reference(sys, ic, t0, grid, tol, dense=False):
                 step = next(steps_left)
             inner.append(_quintic_hermite(g, *step))
         out_states[1:1] = inner
-    return Trajectory(list(grid), out_states, tol=tol, steps=steps,
+    return Trajectory(tuple(grid), tuple(out_states), tol=tol, steps=steps,
                       rejected=rejected)
 
 

@@ -179,6 +179,15 @@ class TestSolve:
         assert code == 2
         assert "position" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["t^²", "²", "1²", "٣*t"])
+    def test_non_ascii_digit_exit2(self, tmp_path, capsys, text):
+        cfg = dict(SOLVE_BASE, coefficients={"f": text})
+        code = main(["solve", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert " at position " in err
+
     def test_unknown_key_exit2(self, tmp_path, capsys):
         cfg = dict(SOLVE_BASE, frobnicate=1)
         code = main(["solve", "--config", write_config(tmp_path, "c.json", cfg)])

@@ -394,7 +394,8 @@ class TestDomain:
 class TestParser:
     @pytest.mark.parametrize(
         "text",
-        ["sin(", "1 +", "t t", "foo(t)", "1..2", "()", "t ^ x", "2 ** 3"],
+        ["sin(", "1 +", "t t", "foo(t)", "1..2", "()", "t ^ x", "2 ** 3",
+         "t^²", "²", "1²", "٣*t"],
     )
     def test_rejects_with_position(self, text):
         with pytest.raises(ParseError) as exc:

@@ -423,7 +423,7 @@ class TestDenseOutput:
         g = grid(1e14, 1e14 + 1, 11)
         g[-1] = 1e14 + 1
         traj = _dense(sys, (1.0, -1.0), 1e14, g, 1e-10)
-        assert traj.times == g and len(traj.states) == 11
+        assert traj.times == tuple(g) and len(traj.states) == 11
         assert traj.states == dopri5_dense_reference(
             sys, (1.0, -1.0), 1e14, g, 1e-10).states
         with pytest.raises(GridTooCoarse):
@@ -498,8 +498,17 @@ class TestTrajectory:
         path = tmp_path / "traj.csv"
         traj.to_csv(path)
         back = Trajectory.from_csv(path)
-        assert back.times == traj.times  # %.17g round-trips doubles exactly
-        assert back.states == traj.states
+        assert back.times == list(traj.times)  # %.17g round-trips doubles exactly
+        assert back.states == list(traj.states)
+
+    def test_integrated_trajectory_is_frozen(self):
+        traj = integrate(lift_sode("mdpi"), (1.0, -1.0), 0.0, grid(0.0, 1.0, 11),
+                         1e-10)
+        assert type(traj.times) is type(traj.states) is tuple
+        with pytest.raises(TypeError):
+            traj.states[3] = (0.0, 0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            traj.states = list(traj.states)
 
     def test_from_csv_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -7,6 +7,7 @@ min_denominator, and the which / value / t of a Degenerate.  A memo hit must
 return exactly what a fresh build does.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -174,21 +175,24 @@ class TestMemo:
     @pytest.mark.parametrize("change", ["value", "sign of zero", "int", "append"])
     def test_changed_rows_rebuild(self, builds, change):
         trajs = family(n=21)
-        trajs[2].states[7] = (0.0, trajs[2].states[7][1])
+        rows = list(trajs[2].states)
+        rows[7] = (0.0, rows[7][1])
+        trajs[2] = replace(trajs[2], states=tuple(rows))
         run = lambda: outcome(lambda: reconstruct(
             SuperposeProblem(trajs, constants=(0.4, -0.3))))
         before = run()
-        x, v = trajs[2].states[7]
+        x, v = rows[7]
         if change == "value":
-            trajs[2].states[7] = (x + 1e-3, v)
+            rows[7] = (x + 1e-3, v)
         elif change == "sign of zero":
-            trajs[2].states[7] = (-0.0, v)
+            rows[7] = (-0.0, v)
         elif change == "int":
-            trajs[2].states[7] = (0, v)
+            rows[7] = (0, v)
+        if change == "append":
+            trajs = [replace(tr, times=(*tr.times, 1.05),
+                             states=(*tr.states, tr.states[-1])) for tr in trajs]
         else:
-            for tr in trajs:
-                tr.times.append(1.05)
-                tr.states.append(tr.states[-1])
+            trajs[2] = replace(trajs[2], states=tuple(rows))
         after = run()
         assert builds == [21, len(trajs[0].times)]
         assert after == outcome(lambda: reconstruct_reference(
@@ -197,15 +201,49 @@ class TestMemo:
             assert after != before
 
     def test_list_rows_are_never_reused(self, builds):
-        trajs = [Trajectory(tr.times, [list(s) for s in tr.states])
-                 for tr in family(n=21)]
-        run = lambda: outcome(lambda: reconstruct(
-            SuperposeProblem(trajs, constants=(0.4, -0.3))))
-        run()
-        trajs[1].states[3][0] += 1e-3  # mutated inside the row
-        assert run() == outcome(lambda: reconstruct_reference(
-            SuperposeProblem(trajs, constants=(0.4, -0.3))))
-        assert builds == [21, 21]
+        for kind in ("list times", "list rows", "list of list rows",
+                     "tuple of list rows"):
+            times = [i / 20 for i in range(21)]  # one list, shared by all four
+            trajs = family(n=21)
+            if kind == "list times":
+                trajs = [Trajectory(times, tr.states) for tr in trajs]
+            elif kind == "list rows":
+                trajs = [Trajectory(tr.times, list(tr.states)) for tr in trajs]
+            elif kind == "list of list rows":
+                trajs = [Trajectory(tr.times, [list(s) for s in tr.states])
+                         for tr in trajs]
+            else:
+                trajs = [Trajectory(tr.times, tuple(list(s) for s in tr.states))
+                         for tr in trajs]
+            run = lambda: outcome(lambda: reconstruct(
+                SuperposeProblem(trajs, constants=(0.4, -0.3))))
+            run()
+            if kind == "list times":
+                times[-1] = 1.05  # every trajectory's last time, in place
+            elif kind == "list rows":
+                x, v = trajs[1].states[3]
+                trajs[1].states[3] = (x + 1e-3, v)
+            else:
+                trajs[1].states[3][0] += 1e-3  # mutated inside the row
+            assert run() == outcome(lambda: reconstruct_reference(
+                SuperposeProblem(trajs, constants=(0.4, -0.3)))), kind
+            assert builds == [21, 21], kind
+            builds.clear()
+
+    def test_integrated_and_list_backed_on_one_grid(self, builds):
+        trajs = family(n=21)
+        mixed = [trajs[0], *(Trajectory(list(tr.times), list(tr.states),
+                                        tol=tr.tol) for tr in trajs[1:])]
+        for kw in ({"constants": (0.4, -0.3)}, {"target": (0.05, 0.3)}):
+            problem = SuperposeProblem(mixed, **kw)
+            assert outcome(lambda: reconstruct(problem)) \
+                == outcome(lambda: reconstruct_reference(problem))
+        assert builds == [21, 21]  # list-backed: never kept
+        moved = list(mixed[3].times)
+        moved[5] += 1e-3
+        with pytest.raises(ValueError, match="one time grid"):
+            SuperposeProblem([*mixed[:3], replace(mixed[3], times=moved)],
+                             constants=(0.4, -0.3))
 
     def test_other_riccati_coefficients_rebuild(self, builds):
         trajs = family(n=41, c=RICCATI)
@@ -223,9 +261,9 @@ class TestMemo:
         copies = []
         for j, tr in enumerate(trajs):  # new float objects, equal values
             tr.to_csv(tmp_path / f"p{j}.csv")
-            copies.append(Trajectory.from_csv(tmp_path / f"p{j}.csv"))
-            copies[-1].tol = tr.tol
-        assert copies[0].states == trajs[0].states
+            copies.append(replace(Trajectory.from_csv(tmp_path / f"p{j}.csv"),
+                                  tol=tr.tol))
+        assert copies[0].states == list(trajs[0].states)
         assert copies[0].states[5] is not trajs[0].states[5]
         for kw in ({"constants": (0.3, 0.6)}, {"target": (0.05, 0.3)}):
             assert outcome(lambda: reconstruct(SuperposeProblem(copies, **kw))) \
