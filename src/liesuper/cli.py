@@ -501,6 +501,8 @@ def cmd_superpose(args) -> int:
 def _rational(text: str) -> tuple[Fraction, int]:
     """text as a Fraction, and the digits of its numerator and denominator
     written out; refused first if one of them needs more than MAX_DIGITS."""
+    if not text.isascii():
+        raise ValueError(f"{text[:20]!r} is not written in ASCII")
     decimal = _DECIMAL.fullmatch(text)
     if not decimal:  # p/q has no exponent: Python bounds p and q
         return Fraction(text), sum(c.isdigit() for c in text)

@@ -979,6 +979,14 @@ class TestRank:
         assert main(["rank", "--point", "1,2,3"]) == 2
         assert main(["rank", "--point", "1,2,3,4,5,6,7,z"]) == 2
 
+    @pytest.mark.parametrize("entry", ["\u0663", "\u0663/\u0664", "1/\u0664", "\uff11.5"])
+    def test_non_ascii_digits_exit2(self, capsys, entry):
+        assert main(["rank", "--point", f"1,2,3,4,5,6,7,{entry}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --point entries must be rationals")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("point", [
         "1e-100,2e-100,3e-100,5e-100,7e-100,11e-100,13e-100,17e-100",
         "1e400,2,3,4,5,6,7,8",

@@ -7,6 +7,7 @@ min_denominator, and the which / value / t of a Degenerate.  A memo hit must
 return exactly what a fresh build does.
 """
 
+import operator
 from dataclasses import replace
 from fractions import Fraction
 
@@ -71,7 +72,8 @@ def slot_sets(draw, t1=1.0):
     elif mode == "row":
         i = draw(st.integers(0, n - 1))
         slots[k][i] = slots[j][i]
-    return [Trajectory(list(times), s, tol=1e-9) for s in slots]
+    # tuple times and rows, as integrate gives them, so the memo keeps a basis
+    return [Trajectory(tuple(times), tuple(s), tol=1e-9) for s in slots]
 
 
 @st.composite
@@ -86,6 +88,22 @@ def fits(draw, times):
     return kw
 
 
+def fresh_then_hit(fn, trajs, c=None):
+    """outcome(fn) on a fresh build from an empty memo, then on a memo hit.
+
+    Whenever the first call built a basis, the memo must have kept it under
+    the four trajectories and ``c``, and the second call must reuse it."""
+    superpose._last_basis = ((), None)
+    fresh = outcome(fn)
+    key, built = superpose._last_basis
+    assert built is not None or fresh[0] == "ValueError"
+    if built is not None:
+        assert all(map(operator.is_, key, (*trajs, c)))
+    hit = outcome(fn)
+    assert superpose._last_basis[1] is built  # nothing was rebuilt
+    return fresh, hit
+
+
 class TestBasisMatchesPerPointRule:
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
@@ -94,8 +112,10 @@ class TestBasisMatchesPerPointRule:
         kw = data.draw(fits(trajs[0].times))
         want = outcome(lambda: reconstruct_reference(SuperposeProblem(trajs, **kw)))
         # a fresh build, then a memo hit on the same objects
-        assert outcome(lambda: reconstruct(SuperposeProblem(trajs, **kw))) == want
-        assert outcome(lambda: reconstruct(SuperposeProblem(trajs, **kw))) == want
+        fresh, hit = fresh_then_hit(
+            lambda: reconstruct(SuperposeProblem(trajs, **kw)), trajs)
+        assert fresh == want
+        assert hit == want
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -103,8 +123,10 @@ class TestBasisMatchesPerPointRule:
         trajs = data.draw(slot_sets(t1=0.8))
         kw = data.draw(fits(trajs[0].times))
         want = outcome(lambda: superpose_riccati_reference(RICCATI, trajs, **kw))
-        assert outcome(lambda: superpose_riccati(RICCATI, trajs, **kw)) == want
-        assert outcome(lambda: superpose_riccati(RICCATI, trajs, **kw)) == want
+        fresh, hit = fresh_then_hit(
+            lambda: superpose_riccati(RICCATI, trajs, **kw), trajs, RICCATI)
+        assert fresh == want
+        assert hit == want
 
     def test_duplicated_slot_raises_at_the_same_time(self):
         sys = lift_sode("mdpi")
