@@ -7,9 +7,10 @@ and ``v`` (``StateVar``) for each family's acceleration F(t, x, v) over them:
 evaluation is double precision, differentiation is exact and symbolic (needed
 e.g. to build da3/dt for the damping of the canonical Riccati family).
 
-Evaluation is generated code.  ``compile_many(exprs)`` writes one
-straight-line Python function ``(t) -> values``, or ``(t, x, v) -> values``
-when a tree reads the state, for a tuple of trees: nodes are evaluated in
+Evaluation is generated code.  ``CoeffExpr.compiled`` writes one
+straight-line Python function of the tree, ``(t) -> value``, or
+``(t, x, v) -> value`` when the tree reads the state, on first use, and
+caches it on the node; ``eval(t)`` calls it.  Nodes are evaluated in
 tree-walk order (a ``Div`` evaluates its denominator first), every
 structurally repeated subtree is computed once, and every check is inline
 and raises the ``DomainError`` the tree walk would raise, naming the
@@ -20,9 +21,8 @@ subtree that reads neither t nor the state is folded: evaluated once, by
 the same lines, when the function is generated, unless those lines raise.
 Constants (as floats) and nodes are bound as the function's globals, never
 written into the source, so no user text reaches the source and the source
-depends only on the shape of the trees and on which subtrees fold; the
-compiled code is cached by source.  ``CoeffExpr.compiled`` is the one-tree
-case, built on first use and cached on the node; ``eval(t)`` calls it.
+depends only on the shape of the tree and on which subtrees fold; the
+compiled code is cached by source.
 
 The companion parser accepts the infix grammar used by the CLI: whitespace
 insensitive, ``^`` for integer powers, ``/`` for division (so rationals are
@@ -44,7 +44,6 @@ __all__ = [
     "TimeVar",
     "StateVar",
     "DomainError",
-    "compile_many",
     "ParseError",
     "parse_expr",
 ]
@@ -68,13 +67,16 @@ class CoeffExpr:
     state = False  # reads x or v: true when any child does
     constant = False  # reads neither t nor x nor v: true when every child does
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
     @property
-    def compiled(self) -> Callable[[float], float]:
-        """The evaluator ``t -> float``, generated on first use and cached."""
+    def compiled(self) -> Callable[..., float]:
+        """The evaluator ``(t)`` or ``(t, x, v) -> float``, built once, cached."""
         try:
             return self._fn
         except AttributeError:
-            fn = _kernel((self,), single=True)
+            fn = _kernel(self)
             object.__setattr__(self, "_fn", fn)
             return fn
 
@@ -153,7 +155,8 @@ class StateVar(CoeffExpr):
     state = True
 
     def __init__(self, name: str):
-        assert name in ("x", "v")  # written into the kernel's source
+        if name not in ("x", "v"):  # written into the kernel's source
+            raise ValueError(f"a state variable is x or v, not {name!r}")
         object.__setattr__(self, "name", name)
 
     def _emit(self, k):
@@ -394,7 +397,7 @@ class _Source:
         if not (self.fold and node.constant) or isinstance(node, Const):
             return None
         try:
-            return self.const(_kernel((node,), True, fold=False)(0.0))
+            return self.const(_kernel(node, fold=False)(0.0))
         except DomainError:
             return None
 
@@ -448,14 +451,12 @@ class _Source:
         return f"raise DomainError(t, {self.bind('n', node)}, {reason!r})"
 
 
-def _generate(exprs: tuple, single: bool,
+def _generate(expr: CoeffExpr,
               fold: bool = True) -> tuple[str, dict[str, object]]:
-    """The source of the kernel for ``exprs`` and the globals it binds."""
+    """The source of the kernel for ``expr`` and the globals it binds."""
     k = _Source(fold)
-    values = [k.operand(e) for e in exprs]
-    k.lines.append("return " + (
-        values[0] if single else "(" + "".join(f"{v}, " for v in values) + ")"))
-    params = "t, x, v" if any(e.state for e in exprs) else "t"
+    k.lines.append("return " + k.operand(expr))
+    params = "t, x, v" if expr.state else "t"
     body = "".join(f"    {line}\n" for line in k.lines)
     return f"def kernel({params}):\n{body}", k.bound
 
@@ -467,22 +468,11 @@ def _code(source: str):
     return compile(source, "<coeffexpr kernel>", "exec")
 
 
-def _kernel(exprs: tuple, single: bool, fold: bool = True) -> Callable:
-    source, bound = _generate(exprs, single, fold)
+def _kernel(expr: CoeffExpr, fold: bool = True) -> Callable:
+    source, bound = _generate(expr, fold)
     namespace = {**_RUNTIME, **bound}
     exec(_code(source), namespace)
     return namespace["kernel"]
-
-
-def compile_many(exprs) -> Callable[[float], tuple[float, ...]]:
-    """One generated function ``(t)`` or ``(t, x, v)`` -> values, for some trees.
-
-    The trees are evaluated in order, each in tree-walk order, and the first
-    failing check raises the DomainError (node, reason, t) that evaluating
-    them one by one would raise.  A subtree repeated anywhere in the trees is
-    computed once.
-    """
-    return _kernel(tuple(exprs), single=False)
 
 
 # ---------------------------------------------------------------------------

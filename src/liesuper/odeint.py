@@ -16,11 +16,11 @@ than ground through; stiff problems, whose steps shrink without underflowing,
 end in ``StepBudgetExceeded`` once ``STEP_BUDGET`` is spent.
 
 Each family is one row of ``FAMILIES``: its coefficients with their defaults
-and its acceleration F(t, x, v), written once as a ``CoeffExpr`` tree.  The
-right-hand side (t, x, v) -> (v, F) is generated from that tree
-(``coeffexpr.compile_many``) when the system is lifted, so it evaluates in
-the formula's order, and a subtree shared by several coefficients, such as
-a3 and sqrt(a3) in the Riccati damping, once per stage.
+and its acceleration F(t, x, v), written once as a ``CoeffExpr`` tree.  A
+lift's right-hand side (t, x, v) -> F is that tree's compiled evaluator
+(``CoeffExpr.compiled``), so it evaluates in the formula's order, and a
+subtree shared by several coefficients, such as a3 and sqrt(a3) in the
+Riccati damping, once per stage.  x' = v is kept by the integrator.
 
 An independent finite-difference residual oracle is provided to check that a
 trajectory (however it was produced) actually satisfies its equation.
@@ -32,8 +32,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .coeffexpr import (CoeffExpr, Const, Neg, Sqrt, StateVar, compile_many,
-                        parse_expr)
+from .coeffexpr import CoeffExpr, Const, Neg, Sqrt, StateVar, parse_expr
 
 __all__ = [
     "ConstraintViolation",
@@ -106,10 +105,10 @@ class GridTooCoarse(ValueError):
 
 @dataclass(frozen=True)
 class FirstOrderSystem:
-    """2-dimensional first-order system xdot = v, vdot = F(t, x, v)."""
+    """The lift xdot = v, vdot = F(t, x, v); ``rhs(t, x, v)`` returns F alone."""
 
     family: str
-    rhs: Callable[[float, float, float], tuple[float, float]]
+    rhs: Callable[[float, float, float], float]
     coeffs: dict[str, CoeffExpr] = field(default_factory=dict)
 
 
@@ -160,9 +159,9 @@ FAMILIES = {
 
 
 def _system(family: str, coeffs: dict[str, CoeffExpr]) -> FirstOrderSystem:
-    """The lift whose rhs (t, x, v) -> (v, F) is generated from F's tree."""
+    """The lift whose rhs (t, x, v) -> F is F's tree, compiled."""
     accel = FAMILIES[family][1](**coeffs)
-    return FirstOrderSystem(family, compile_many((V, accel)), coeffs)
+    return FirstOrderSystem(family, accel.compiled, coeffs)
 
 
 def lift_sode(family: str, coeffs: dict | None = None,
@@ -179,9 +178,8 @@ def lift_sode(family: str, coeffs: dict | None = None,
 
     Coefficient values may be CoeffExpr trees, expression strings, or numbers;
     a missing one takes its default (a3 = 1, the others 0), and a name the
-    family does not have is a ValueError.  The right-hand side is one
-    generated function (``coeffexpr.compile_many``) of the acceleration's
-    tree, so it evaluates in the formula's order.
+    family does not have is a ValueError.  ``rhs`` is the acceleration
+    tree's compiled evaluator, so it evaluates in the formula's order.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; "
@@ -389,7 +387,7 @@ def integrate(
     # (float ** raises where * would give inf) is reported at that stage
     ts = t0 + (t + c0 * h)
     try:
-        k0x, k0v = rhs(ts, x, v)
+        k0x, k0v = v, rhs(ts, x, v)
     except OverflowError:
         raise NonFinite(ts) from None
     if not (isfinite(k0x) and isfinite(k0v)):
@@ -409,35 +407,35 @@ def integrate(
                 raise BlowUp(t0 + t)
             if steps == budget:
                 raise StepBudgetExceeded(t0 + t, budget)
-            # stages 1..6; stage 0 is the last stage of the previous
-            # accepted step, or kept from the rejected attempt
+            # stages 1..6, each at its velocity kx; stage 0 is the last stage
+            # of the previous accepted step, or kept from the rejected attempt
             try:
                 ts = t0 + (t + c1 * h)
-                k1x, k1v = rhs(ts, x + h * (a10 * k0x), v + h * (a10 * k0v))
+                k1x = v + h * (a10 * k0v)
+                k1v = rhs(ts, x + h * (a10 * k0x), k1x)
                 if not (isfinite(k1x) and isfinite(k1v)):
                     raise NonFinite(ts)
                 ts = t0 + (t + c2 * h)
-                k2x, k2v = rhs(ts, x + h * (a20 * k0x + a21 * k1x),
-                               v + h * (a20 * k0v + a21 * k1v))
+                k2x = v + h * (a20 * k0v + a21 * k1v)
+                k2v = rhs(ts, x + h * (a20 * k0x + a21 * k1x), k2x)
                 if not (isfinite(k2x) and isfinite(k2v)):
                     raise NonFinite(ts)
                 ts = t0 + (t + c3 * h)
-                k3x, k3v = rhs(ts, x + h * (a30 * k0x + a31 * k1x + a32 * k2x),
-                               v + h * (a30 * k0v + a31 * k1v + a32 * k2v))
+                k3x = v + h * (a30 * k0v + a31 * k1v + a32 * k2v)
+                k3v = rhs(ts, x + h * (a30 * k0x + a31 * k1x + a32 * k2x), k3x)
                 if not (isfinite(k3x) and isfinite(k3v)):
                     raise NonFinite(ts)
                 ts = t0 + (t + c4 * h)
-                k4x, k4v = rhs(
-                    ts, x + h * (a40 * k0x + a41 * k1x + a42 * k2x + a43 * k3x),
-                    v + h * (a40 * k0v + a41 * k1v + a42 * k2v + a43 * k3v))
+                k4x = v + h * (a40 * k0v + a41 * k1v + a42 * k2v + a43 * k3v)
+                k4v = rhs(ts, x + h * (a40 * k0x + a41 * k1x + a42 * k2x
+                                       + a43 * k3x), k4x)
                 if not (isfinite(k4x) and isfinite(k4v)):
                     raise NonFinite(ts)
                 ts = t0 + (t + c5 * h)
-                k5x, k5v = rhs(
-                    ts, x + h * (a50 * k0x + a51 * k1x + a52 * k2x + a53 * k3x
-                                 + a54 * k4x),
-                    v + h * (a50 * k0v + a51 * k1v + a52 * k2v + a53 * k3v
-                             + a54 * k4v))
+                k5x = v + h * (a50 * k0v + a51 * k1v + a52 * k2v + a53 * k3v
+                               + a54 * k4v)
+                k5v = rhs(ts, x + h * (a50 * k0x + a51 * k1x + a52 * k2x
+                                       + a53 * k3x + a54 * k4x), k5x)
                 if not (isfinite(k5x) and isfinite(k5v)):
                     raise NonFinite(ts)
                 y5x = x + h * (a60 * k0x + a61 * k1x + a62 * k2x + a63 * k3x
@@ -445,7 +443,7 @@ def integrate(
                 y5v = v + h * (a60 * k0v + a61 * k1v + a62 * k2v + a63 * k3v
                                + a64 * k4v + a65 * k5v)
                 ts = t0 + (t + c6 * h)
-                k6x, k6v = rhs(ts, y5x, y5v)
+                k6x, k6v = y5v, rhs(ts, y5x, y5v)
                 if not (isfinite(k6x) and isfinite(k6v)):
                     raise NonFinite(ts)
             except OverflowError:
@@ -510,7 +508,7 @@ def residual(sys: FirstOrderSystem, traj: Trajectory) -> float:
     # (a, b, c, d, e) is the stencil x[i-2 .. i+2] around t = times[i]
     for t, a, b, c, d, e in zip(times[2:], xs, xs[1:], xs[2:], xs[3:], xs[4:]):
         xdot = (a - 8 * b + 8 * d - e) / h12
-        r = abs((-a + 16 * b - 30 * c + 16 * d - e) / hh12 - rhs(t, c, xdot)[1])
+        r = abs((-a + 16 * b - 30 * c + 16 * d - e) / hh12 - rhs(t, c, xdot))
         if r > worst:
             worst = r
     return worst

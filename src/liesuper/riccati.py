@@ -123,7 +123,7 @@ def transformed_rhs_check(
     for t, xp, vp in samples:
         beta = c.beta(t)
         v = vp * beta
-        _, vdot = sys.rhs(t, xp, v)
+        vdot = sys.rhs(t, xp, v)
         # chain rule: d(v/beta)/dt = vdot/beta - v * beta'/beta^2
         pushed = (v, vdot / beta - v * beta_dot.eval(t) / beta**2)
         printed = (

@@ -151,7 +151,7 @@ def _sum_from_zero(terms):
 
 def _rhs_checked(sys, t, y):
     try:
-        d = sys.rhs(t, y[0], y[1])
+        d = (y[1], sys.rhs(t, y[0], y[1]))
     except OverflowError:
         raise NonFinite(t) from None
     if not (math.isfinite(d[0]) and math.isfinite(d[1])):
@@ -303,7 +303,7 @@ def residual_reference(sys, traj):
         xddot = (
             -xs[i - 2] + 16 * xs[i - 1] - 30 * xs[i] + 16 * xs[i + 1] - xs[i + 2]
         ) / (12 * h * h)
-        worst = max(worst, abs(xddot - sys.rhs(times[i], xs[i], xdot)[1]))
+        worst = max(worst, abs(xddot - sys.rhs(times[i], xs[i], xdot)))
     return worst
 
 

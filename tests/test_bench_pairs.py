@@ -52,8 +52,11 @@ def test_a_single_run_has_equal_quartiles():
 def test_quartiles_and_iqr_of_the_parent():
     runs = _runs([1.0, 2.0, 3.0, 4.0, 5.0], [5.0, 4.0, 3.0, 2.0, 1.0])
     out = bench_pairs.summary(runs, [_metric("lower")])["job_s"]
-    assert out["parent_quartiles"] == [1.5, 4.5]
-    assert out["parent_iqr"] == 3.0
+    assert out["parent_quartiles"] == [2.0, 4.0]
+    assert out["parent_iqr"] == 2.0
+    # inclusive quartiles stay within the runs: two runs 1 and 2 give
+    # 1.25 and 1.75, not the 0.75 and 2.25 of extrapolation
+    assert bench_pairs.quartiles([1.0, 2.0]) == (1.25, 1.75)
     assert out["wins"] == "2/5"
 
 

@@ -1,8 +1,13 @@
 """Expression trees: evaluation, exact differentiation, and the parser."""
 
+import functools
 import math
+import os
+import pathlib
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,10 +26,10 @@ from liesuper.coeffexpr import (
     Pow,
     Sin,
     Sqrt,
+    StateVar,
     Sub,
     TimeVar,
     _generate,
-    compile_many,
     parse_expr,
 )
 from liesuper import odeint
@@ -118,6 +123,37 @@ class TestCompiled:
             e.eval(0.0)
         assert exc.value.reason == "overflow" and exc.value.node is e
 
+    def test_nodes_are_immutable(self):
+        # the kernel is cached on the node: a node changed after its first
+        # evaluation would print one tree and evaluate another
+        e = parse_expr("t + 1")
+        assert e.eval(0.0) == 1.0
+        for node, attr in ((e, "right"), (e.right, "value"), (e.left, "_fn"),
+                           (parse_expr("t^2"), "exponent"),
+                           (parse_expr("sin(t)"), "arg"), (StateVar("x"), "name")):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(node, attr, Const(5))
+        assert (str(e), e.eval(0.0)) == ("(t + 1)", 1.0)
+        lifted = lift_sode("mdpi", {"f": "1"})
+        with pytest.raises(AttributeError, match="immutable"):
+            lifted.coeffs["f"].value = 9
+        assert lifted.rhs(0.0, 0.0, 0.0) == 1.0
+
+    def test_state_variable_name_is_checked_under_python_O(self):
+        # the name is written into the kernel's source, so the check must
+        # not be an assert, which python -O strips
+        with pytest.raises(ValueError, match="x or v"):
+            StateVar("x*0 + 41")
+        src = pathlib.Path(odeint.__file__).parents[1]
+        done = subprocess.run(
+            [sys.executable, "-O", "-c",
+             "from liesuper.coeffexpr import StateVar; StateVar('x*0 + 41')"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 1
+        assert done.stderr.splitlines()[-1] == (
+            "ValueError: a state variable is x or v, not 'x*0 + 41'")
+
 
 def _copy(e):
     """A structurally equal tree built from fresh nodes."""
@@ -157,19 +193,14 @@ def _tuples_sharing_subtrees(draw):
     return tuple(out)
 
 
-def _outcomes(fn, t):
-    """("values", bits) or ("error", node, reason, t) of one tuple evaluation."""
-    try:
-        values = fn(t)
-    except DomainError as exc:
-        return ("error", id(exc.node), exc.reason, exc.t)
-    return ("values", [v.hex() for v in values])
-
-
 def _compound_keys(e, keys):
     """Collect the structure of every subtree of ``e`` that is not a leaf."""
-    if isinstance(e, (Const, TimeVar)):
-        return ("c", e.value) if isinstance(e, Const) else ("t",)
+    if isinstance(e, Const):
+        return ("c", e.value)
+    if isinstance(e, TimeVar):
+        return ("t",)
+    if isinstance(e, StateVar):
+        return ("s", e.name)
     if isinstance(e, Pow):
         key = ("Pow", _compound_keys(e.base, keys), e.exponent)
     elif isinstance(e, (Add, Sub, Mul, Div)):
@@ -181,10 +212,10 @@ def _compound_keys(e, keys):
     return key
 
 
-def _reads_t(key):
-    """Whether the subtree with structure ``key`` reads t."""
-    return key == ("t",) or any(
-        isinstance(part, tuple) and _reads_t(part) for part in key)
+def _varies(key):
+    """Whether the subtree with structure ``key`` reads t or the state."""
+    return key[0] in ("t", "s") or any(
+        isinstance(part, tuple) and _varies(part) for part in key)
 
 
 # coefficient slots in the order each family's formula reads them, with a
@@ -211,28 +242,31 @@ _DISTINCT_COEFFS = {
 
 
 class TestCompileMany:
+    """Kernels of trees that share subtrees, and the lifted right-hand sides."""
+
     @settings(max_examples=300, deadline=None)
     @given(_tuples_sharing_subtrees(), st.lists(_times, min_size=1, max_size=4))
     def test_tuples_match_tree_walk_bit_for_bit(self, exprs, times):
-        # trees evaluated in order, each in tree-walk order: the first error
-        # names the node, reason and t of evaluating them one by one
-        kernel = compile_many(exprs)
+        # the trees summed left to right are evaluated in order, each in
+        # tree-walk order: the first error names the node, reason and t of
+        # the tree walk, and a subtree shared between them runs once
+        tree = functools.reduce(Add, exprs)
         for t in times:
-            assert _outcomes(kernel, t) == _outcomes(
-                lambda t: [tree_eval(e, t) for e in exprs], t)
+            assert _outcome(tree.eval, t) == _outcome(
+                lambda t: tree_eval(tree, t), t)
 
     def test_riccati_kernel_computes_each_subtree_once(self):
         sys = lift_sode("riccati", _DISTINCT_COEFFS["riccati"])
-        exprs = tuple(sys.coeffs[name] for name in _FORMULAS["riccati"][0])
-        source, _ = _generate(exprs, single=False)
+        accel = odeint.FAMILIES["riccati"][1](**sys.coeffs)
+        source, _ = _generate(accel)
         distinct = set()
-        for e in exprs:
-            _compound_keys(e, distinct)
-        # one assignment per distinct subtree that reads t: a3 and sqrt(a3),
-        # shared by b0, b1 and a3 itself, are computed once each, and a
-        # constant subtree such as a1 = 3/10 is folded into a constant
+        _compound_keys(accel, distinct)
+        # one assignment per distinct subtree that reads t or the state: a3
+        # and sqrt(a3), shared by b0, b1 and a3 itself, are computed once
+        # each, and a constant subtree such as a1 = 3/10 is folded into a
+        # constant
         assert len(re.findall(r"^ +v\d+ = ", source, re.M)) == len(
-            {key for key in distinct if _reads_t(key)}) < len(distinct)
+            {key for key in distinct if _varies(key)}) < len(distinct)
         assert source.count("sqrt(") == 1
 
     def test_riccati_with_a3_one_folds_sqrt_a3(self):
@@ -240,20 +274,21 @@ class TestCompileMany:
         # the acceleration is still the tree walk's, bit for bit
         sys = lift_sode("riccati", {"a3": "1", "a2": "sin(t)"})
         accel = odeint.FAMILIES["riccati"][1](**sys.coeffs)
-        source, _ = _generate((odeint.V, accel), single=False)
+        source, _ = _generate(accel)
         assert "sqrt(" not in source
         names, ref = _FORMULAS["riccati"]
         for t, x, v in ((0.0, 0.5, -1.0), (0.7, -1.5, 2.0)):
             coeffs = [tree_eval(sys.coeffs[name], t) for name in names]
-            assert sys.rhs(t, x, v)[1].hex() == ref(x, v, *coeffs).hex()
+            assert sys.rhs(t, x, v).hex() == ref(x, v, *coeffs).hex()
 
     def test_source_depends_only_on_the_shape(self):
         a, b = parse_expr("12345*t + exp(-t^3)"), parse_expr("2*t + exp(-t^5)")
-        (source_a, bound_a), (source_b, bound_b) = (
-            _generate((e,), single=True) for e in (a, b))
+        (source_a, bound_a), (source_b, bound_b) = (_generate(e) for e in (a, b))
         assert source_a == source_b and bound_a != bound_b
         assert "12345" not in source_a
-        assert compile_many((a, b))(0.5) == (a.eval(0.5), b.eval(0.5))
+        # one code object, and each tree its own constants
+        assert a.compiled.__code__ is b.compiled.__code__
+        assert (a.eval(0.5), b.eval(0.5)) == (tree_eval(a, 0.5), tree_eval(b, 0.5))
 
     @pytest.mark.parametrize("family", sorted(_FORMULAS))
     def test_lifted_rhs_matches_tree_walk_bit_for_bit(self, family):
@@ -263,8 +298,7 @@ class TestCompileMany:
         for _ in range(200):
             t, x, v = rng.uniform(0, 1), rng.uniform(-2, 2), rng.uniform(-2, 2)
             coeffs = [tree_eval(sys.coeffs[name], t) for name in names]
-            got = sys.rhs(t, x, v)
-            assert [z.hex() for z in got] == [v.hex(), accel(x, v, *coeffs).hex()]
+            assert sys.rhs(t, x, v).hex() == accel(x, v, *coeffs).hex()
 
     @pytest.mark.parametrize("family", sorted(_FORMULAS))
     def test_state_values_carry_no_check(self, family):
@@ -273,7 +307,7 @@ class TestCompileMany:
         # OverflowError or a non-finite value; coefficient values keep theirs
         sys = lift_sode(family, _DISTINCT_COEFFS[family])
         accel = odeint.FAMILIES[family][1](**sys.coeffs)
-        source, _ = _generate((odeint.V, accel), single=False)
+        source, _ = _generate(accel)
         lines = source.splitlines()
         assert lines[0] == "def kernel(t, x, v):"
         state, checked = {"x", "v"}, []
@@ -286,14 +320,14 @@ class TestCompileMany:
             checked += [line] if tested and tested[1] in state else []
         assert checked == []
         # the acceleration itself reads the state; the coefficients keep checks
-        assert re.fullmatch(r" +return \(v, (v\d+), \)", lines[-1])[1] in state
+        assert re.fullmatch(r" +return (v\d+)", lines[-1])[1] in state
         assert "isfinite(" in source
 
 
 class TestConstantFolding:
     def test_constant_subtree_is_one_constant(self):
         e = parse_expr("t + (2/3)*(1 + 1)^3 - sqrt(4)")
-        source, _ = _generate((e,), single=True)
+        source, _ = _generate(e)
         assert len(re.findall(r"^ +v\d+ = ", source, re.M)) == 2
         assert "sqrt(" not in source and "**" not in source
         assert _outcome(e.eval, 0.3) == _outcome(lambda t: tree_eval(e, t), 0.3)
@@ -314,14 +348,16 @@ class TestConstantFolding:
     def test_folded_negative_zero_keeps_its_sign(self):
         # -0.0 == 0.0, so a constant table keyed by value alone would hand
         # both the same global
-        exprs = (Neg(Const(0)), Const(0), Mul(TimeVar(), Neg(Const(0))),
-                 Div(Const(1), Neg(Const(0))))
-        assert _outcomes(compile_many(exprs[:3]), 2.0) == _outcomes(
-            lambda t: [tree_eval(e, t) for e in exprs[:3]], 2.0)
-        assert _outcomes(compile_many(exprs[:3]), 2.0)[1][0] == "-0x0.0p+0"
+        # both, and t*(-0) - 0 is -0.0 only when each keeps its own sign
+        e = Sub(Mul(TimeVar(), Neg(Const(0))), Const(0))
+        _, bound = _generate(e)
+        assert sorted(repr(c) for c in bound.values()
+                      if isinstance(c, float)) == ["-0.0", "0.0"]
+        assert _outcome(e.eval, 2.0) == _outcome(lambda t: tree_eval(e, t), 2.0)
+        assert _outcome(e.eval, 2.0)[1] == "-0x0.0p+0"
         # 1/(-0.0) divides by zero: not folded, and raised at t
-        assert _outcome(exprs[3].eval, 2.0) == _outcome(
-            lambda t: tree_eval(exprs[3], t), 2.0)
+        e = Div(Const(1), Neg(Const(0)))
+        assert _outcome(e.eval, 2.0) == _outcome(lambda t: tree_eval(e, t), 2.0)
 
     @pytest.mark.parametrize("coeffs", [{"a3": "1", "a2": "sin(t)"},
                                         {"a3": "1 + t^2/4"}])
@@ -330,7 +366,7 @@ class TestConstantFolding:
         # nonzero value; only denominators that read t keep their test
         sys = lift_sode("riccati", coeffs)
         accel = odeint.FAMILIES["riccati"][1](**sys.coeffs)
-        source, bound = _generate((odeint.V, accel), single=False)
+        source, bound = _generate(accel)
         tested = re.findall(r"if (\w+) == 0\.0:", source)
         assert not any(name in bound for name in tested)
         if coeffs["a3"] == "1":

@@ -40,15 +40,16 @@ class TestLift:
             lift_sode("nope")
 
     def test_mdpi_rhs(self):
+        # rhs gives the acceleration alone; x' = v is the integrator's
         sys = lift_sode("mdpi", {"f": "sin(t)"})
-        dx, dv = sys.rhs(0.5, 2.0, -1.0)
-        assert dx == -1.0
+        dv = sys.rhs(0.5, 2.0, -1.0)
+        assert type(dv) is float
         assert dv == pytest.approx(-3 * 2 * (-1) - 8 + math.sin(0.5))
 
     def test_general_rhs(self):
         sys = lift_sode("general", {"f": "sin(t)", "g": "cos(t)", "h": "0.1"})
         t, x, v = 0.7, 0.3, -0.2
-        _, dv = sys.rhs(t, x, v)
+        dv = sys.rhs(t, x, v)
         expected = (
             -3 * x * v - x**3
             - math.sin(t) * (v + x**2)
@@ -121,7 +122,7 @@ class TestLift:
         assert exc.value.reason == "division by zero"
         with pytest.raises(first_at_huge_x):
             sys.rhs(0.5, 1e200, 0.0)
-        assert all(map(math.isfinite, sys.rhs(0.25, 1.0, 0.0)))
+        assert math.isfinite(sys.rhs(0.25, 1.0, 0.0))
 
 
 class TestIntegrate:
@@ -310,7 +311,7 @@ class TestAgainstReference:
                 return plain(t, x, v)
             if failure == "overflow":
                 raise OverflowError("math range error")
-            return v, math.inf
+            return math.inf
 
         failing = dataclasses.replace(sys, rhs=rhs)
         got = _outcome(integrate, failing, (0.3, -0.2), g, 1e-8)
@@ -455,8 +456,8 @@ class TestDenseOutput:
         g, ic = grid(0.0, 1.0, 1001), (0.3, -0.2)
         traj = _dense(sys, ic, 0.0, g, 1e-10)
         assert traj.steps < 100  # not one step per grid interval
-        ref = solve_ivp(lambda t, y: sys.rhs(t, y[0], y[1]), (0.0, 1.0), ic,
-                        method="DOP853", rtol=1e-13, atol=1e-13, t_eval=g)
+        ref = solve_ivp(lambda t, y: (y[1], sys.rhs(t, y[0], y[1])), (0.0, 1.0),
+                        ic, method="DOP853", rtol=1e-13, atol=1e-13, t_eval=g)
         err = max(max(abs(x - rx), abs(v - rv)) for (x, v), rx, rv
                   in zip(traj.states, ref.y[0], ref.y[1]))
         assert err <= 1e-6

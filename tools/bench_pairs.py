@@ -89,9 +89,10 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
+    """First and third quartiles, interpolated within the runs."""
     if len(values) < 2:
         return values[0], values[0]
-    q1, _, q3 = statistics.quantiles(values, n=4)
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q3
 
 
