@@ -18,6 +18,7 @@ from .exactpoly import (
     Elimination,
     Polynomial,
     VectorField,
+    _immutable,
     _scalar,
     lie_bracket,
 )
@@ -102,8 +103,7 @@ class Matrix3:
             raise ValueError("Matrix3 needs a 3x3 array of rationals")
         object.__setattr__(self, "rows", rows)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix3 is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     def __matmul__(self, other: "Matrix3") -> "Matrix3":
         return Matrix3(

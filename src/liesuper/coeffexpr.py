@@ -38,6 +38,8 @@ from fractions import Fraction
 from math import isfinite
 from typing import Callable
 
+from .exactpoly import _immutable
+
 __all__ = [
     "CoeffExpr",
     "Const",
@@ -67,8 +69,7 @@ class CoeffExpr:
     state = False  # reads x or v: true when any child does
     constant = False  # reads neither t nor x nor v: true when every child does
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     @property
     def compiled(self) -> Callable[..., float]:

@@ -44,6 +44,10 @@ def _scalar(c: Scalar) -> Scalar:
     return c.numerator if c.denominator == 1 else c
 
 
+def _immutable(self, name, value=None):  # __setattr__ and __delattr__
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 def _canonical(terms: dict) -> dict:
     """terms without zero coefficients, each integral Fraction as its int."""
     return {e: c if type(c) is int else _scalar(c) for e, c in terms.items() if c}
@@ -105,8 +109,7 @@ class Polynomial:
         object.__setattr__(p, "terms", _canonical(terms))
         return p
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     # -- constructors ------------------------------------------------------
 
@@ -294,8 +297,7 @@ class RationalFunction:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     @property
     def coords(self) -> tuple[str, ...]:
@@ -334,8 +336,7 @@ class VectorField:
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "coords", coords)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("VectorField is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     @classmethod
     def zero(cls, coords: Sequence[str]) -> "VectorField":

@@ -226,9 +226,8 @@ class Trajectory:
 
     def write_csv(self, fh) -> None:
         """Write as CSV with header t,x,v at full double precision."""
-        fh.write("t,x,v\n" + "".join([
-            f"{t:.17g},{x:.17g},{v:.17g}\n"
-            for t, (x, v) in zip(self.times, self.states)]))
+        flat = [y for t, (x, v) in zip(self.times, self.states) for y in (t, x, v)]
+        fh.write("t,x,v\n" + "%.17g,%.17g,%.17g\n" * len(self.times) % tuple(flat))
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -500,8 +499,9 @@ def residual(sys: FirstOrderSystem, traj: Trajectory) -> float:
         raise GridTooCoarse(f"need at least 7 grid points, got {n}")
     times, xs = traj.times, traj.x
     h = times[1] - times[0]
+    bound = 1e-9 * max(abs(h), 1.0)
     for a, b in zip(times, times[1:]):
-        if abs((b - a) - h) > 1e-9 * max(abs(h), 1.0):
+        if abs((b - a) - h) > bound:
             raise GridTooCoarse("residual oracle requires a uniform grid")
     rhs, h12, hh12 = sys.rhs, 12 * h, 12 * h * h
     worst = 0.0

@@ -20,10 +20,12 @@ per pair of constants, bit for bit as the per-point formula.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from operator import is_
 from typing import Iterable, Sequence
 
+from .coeffexpr import StateVar, _Source, _code
 from .exactpoly import Polynomial, RationalFunction, VectorField, derive_along, prolong, prolonged_coords
 from .algebra import Report, builtin_fields
 from .odeint import Trajectory
@@ -70,7 +72,7 @@ def f_abc(sa: State, sb: State, sc: State) -> float:
     """F(a,b,c) of three slot states; totally antisymmetric.
 
     Uses only + - *, so the exact side evaluates this same function on
-    polynomial slot variables.
+    polynomial slot variables, and the basis kernel traces it once.
     """
     xa, va = sa
     xb, vb = sb
@@ -150,6 +152,35 @@ def lambda_integrals(
     return tuple(lams)
 
 
+@functools.cache
+def _basis_kernel():
+    """``slot_rows -> (x rows, v rows)`` of SuperpositionBasis: f_abc and g_abcd
+    traced once on state leaves, one line per + - * in their order."""
+    slots = s1, s2, s3, s4 = [(StateVar("x"), StateVar("v")) for _ in range(4)]
+    (x1, v1), (x2, v2), (x3, v3) = s1, s2, s3
+    F431, F421 = f_abc(s4, s3, s1), f_abc(s4, s2, s1)
+    D1 = f_abc(s1, s2, s4) - f_abc(s3, s2, s4)
+    D2 = f_abc(s4, s1, s2) - f_abc(s3, s1, s2)
+    d21, d13 = x2 - x1, x1 - x3
+    rows = ((F431, D1, D2, F421, g_abcd(s3, s1, s2, s4), g_abcd(s2, s1, s3, s4),
+             x2 * F431, x3 * F421),
+            (x1, v1, x2, v2, x3, v3, d21, d13, F431, F421, d21 * F431, d13 * F421))
+    k = _Source()  # keys nodes by id: rows keeps every node alive
+    # slot a's leaves are the loop's xa, ua: k names its own locals v0, v1, ...
+    k.seen.update((id(leaf), f"{c}{a}") for a, s in enumerate(slots, 1)
+                  for c, leaf in zip("xu", s))
+    xr, vr = ([k.operand(e) for e in row] for row in rows)
+    body = "".join(f"        {line}\n" for line in k.lines)
+    scale = ", ".join(f"abs({e})" for e in xr[:4])
+    exec(_code(
+        "def kernel(slot_rows):\n    x_rows, v_rows = [], []\n"
+        "    for (x1, u1), (x2, u2), (x3, u3), (x4, u4) in slot_rows:\n"
+        f"{body}        x_rows.append(({', '.join(xr)}, max(1.0, {scale})))\n"
+        f"        v_rows.append(({', '.join(vr)}))\n    return x_rows, v_rows\n"),
+        namespace := {})
+    return namespace["kernel"]
+
+
 class SuperpositionBasis:
     """The blocks of the formula free of (lam1, lam2) at each of ``times``,
     from the four particular states of each ``slot_rows`` entry.  Evaluations
@@ -157,18 +188,7 @@ class SuperpositionBasis:
 
     def __init__(self, times: Sequence, slot_rows: Iterable[Sequence[State]]):
         self.times = list(times)
-        self._x_rows, self._v_rows = x_rows, v_rows = [], []
-        for s1, s2, s3, s4 in slot_rows:
-            (x1, v1), (x2, v2), (x3, v3) = s1, s2, s3
-            F431, F421 = f_abc(s4, s3, s1), f_abc(s4, s2, s1)
-            D1 = f_abc(s1, s2, s4) - f_abc(s3, s2, s4)
-            D2 = f_abc(s4, s1, s2) - f_abc(s3, s1, s2)
-            x_rows.append((F431, D1, D2, F421, g_abcd(s3, s1, s2, s4),
-                           g_abcd(s2, s1, s3, s4), x2 * F431, x3 * F421,
-                           max(1.0, abs(F431), abs(D1), abs(D2), abs(F421))))
-            d21, d13 = x2 - x1, x1 - x3
-            v_rows.append((x1, v1, x2, v2, x3, v3, d21, d13, F431, F421,
-                           d21 * F431, d13 * F421))
+        self._x_rows, self._v_rows = _basis_kernel()(slot_rows)
 
     def positions(self, lam1, lam2, eps_gen):
         """x0 up to the first tripped guard, min |denominator|, that Degenerate."""
@@ -332,13 +352,11 @@ def _reconstruct(problem: SuperposeProblem, c) -> ReconstructionResult:
     last, built = _last_basis
     if not (len(key) == len(last) and all(map(is_, key, last))):
         _last_basis = ((), None)  # not two bases alive while building
-        rows = zip(*(traj.states for traj in trajs))
-        if c is None:
-            built = None, SuperpositionBasis(grid, rows)
-        else:  # one sqrt(a3(t)) per grid time
+        rows, betas = [traj.states for traj in trajs], None
+        if c is not None:  # one sqrt(a3(t)) per grid time
             betas = [c.beta(t) for t in grid]
-            built = betas, SuperpositionBasis(grid, (
-                [(x, v / b) for x, v in slots] for b, slots in zip(betas, rows)))
+            rows = [[(x, v / b) for (x, v), b in zip(s, betas)] for s in rows]
+        built = betas, SuperpositionBasis(grid, zip(*rows))
         if all({tuple}.issuperset(map(type, (traj.times, traj.states, *traj.states)))
                for traj in trajs):
             _last_basis = (key, built)

@@ -60,3 +60,30 @@ def test_benchmark_tracer_installs_and_uninstalls():
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def _immutable_values():
+    """One value of each immutable type, with an attribute it holds."""
+    from liesuper.algebra import Matrix3
+    from liesuper.coeffexpr import parse_expr
+    from liesuper.exactpoly import Polynomial, RationalFunction, VectorField
+
+    e = parse_expr("t + 1")
+    assert e.eval(0.0) == 1.0  # its kernel is cached on the node
+    p = Polynomial.variable("x", ("x", "v"))
+    two = Polynomial.constant(2, ("x", "v"))
+    return [(e, "right"), (e, "_fn"), (p, "terms"),
+            (Matrix3([[1, 0, 0], [0, -1, 0], [0, 0, 0]]), "rows"),
+            (RationalFunction(p, two), "num"),
+            (VectorField((p, two), ("x", "v")), "components")]
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_deleting_an_attribute_raises(index):
+    value, attr = _immutable_values()[index]
+    before = (str(value), getattr(value, attr))
+    with pytest.raises(AttributeError, match="immutable"):
+        delattr(value, attr)
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(value, attr, None)
+    assert (str(value), getattr(value, attr)) == before

@@ -4,15 +4,18 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from liesuper import superpose
 from liesuper.algebra import builtin_fields
 from liesuper.cli import _mutated_sl3_fields
 from liesuper.exactpoly import derive_along, prolong
-from liesuper.odeint import integrate, lift_sode
+from liesuper.odeint import Trajectory, integrate, lift_sode
 from liesuper.superpose import (
     LAMBDA_SLOTS,
     Degenerate,
     SuperposeProblem,
+    SuperpositionBasis,
     f_abc,
     fit_constants,
     g_abcd,
@@ -30,6 +33,7 @@ from liesuper.superpose import (
 from liesuper.worked_example import example_states
 
 from conftest import sample_generic_ics
+from reference import basis_rows_reference
 
 
 def rand_state(rng):
@@ -237,6 +241,82 @@ class TestReconstruct:
         problem = SuperposeProblem(trajs, constants=(0.3, 0.7))
         with pytest.raises(Degenerate):
             reconstruct(problem)
+
+
+# signed zeros, a subnormal, and magnitudes whose products overflow
+slot_value = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e200, -1e-200]),
+                       st.floats(-2.0, 2.0), st.floats(allow_nan=False))
+
+
+@st.composite
+def slot_rows(draw):
+    """Rows of four slot states; one slot may repeat another's x or state."""
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        row = [(draw(slot_value), draw(slot_value)) for _ in range(4)]
+        a, b = draw(st.permutations(range(4)))[:2]
+        shared = draw(st.sampled_from(["none", "x", "state"]))
+        if shared == "x":
+            row[b] = (row[a][0], row[b][1])
+        elif shared == "state":
+            row[b] = row[a]
+        rows.append(tuple(row))
+    return rows
+
+
+def row_bits(rows):
+    """Every entry's exact bits: float.hex keeps the sign of a zero."""
+    return [[x.hex() if isinstance(x, float) else repr(x) for x in row]
+            for row in rows]
+
+
+class TestBasisKernel:
+    """The generated build against the loop that calls f_abc and g_abcd."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=slot_rows())
+    def test_rows_match_the_per_point_build(self, rows):
+        basis = SuperpositionBasis(range(len(rows)), rows)
+        want_x, want_v = basis_rows_reference(rows)
+        assert row_bits(basis._x_rows) == row_bits(want_x)
+        assert row_bits(basis._v_rows) == row_bits(want_v)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=slot_rows(), data=st.data())
+    def test_riccati_scaled_rows_match(self, rows, data):
+        """A Riccati reconstruction's basis is the per-point build on the
+        slot velocities divided by beta(t) at each time."""
+        betas = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=len(rows),
+                                   max_size=len(rows)))
+        times = tuple(range(len(rows)))
+
+        class Coeffs:  # the one method of RiccatiCoeffs a build calls
+            def beta(self, t):
+                return betas[t]
+
+        trajs = [Trajectory(times, tuple(row[j] for row in rows)) for j in range(4)]
+        superpose._last_basis = ((), None)
+        try:
+            superpose._reconstruct(SuperposeProblem(trajs, constants=(0.3, 0.7)),
+                                   Coeffs())
+        except Degenerate:
+            pass  # the basis is kept before it is evaluated
+        kept_betas, basis = superpose._last_basis[1]
+        assert kept_betas == betas
+        want_x, want_v = basis_rows_reference(
+            [[(x, v / b) for x, v in row] for b, row in zip(betas, rows)])
+        assert row_bits(basis._x_rows) == row_bits(want_x)
+        assert row_bits(basis._v_rows) == row_bits(want_v)
+
+    def test_int_and_fraction_slots_keep_their_type(self):
+        rows = [((0, 1), (2, -1), (Fraction(1, 3), 0), (-1, Fraction(1, 2)))]
+        basis = SuperpositionBasis([0.0], rows)
+        want_x, want_v = basis_rows_reference(rows)
+        assert row_bits(basis._x_rows) == row_bits(want_x)
+        assert row_bits(basis._v_rows) == row_bits(want_v)
+
+    def test_kernel_is_generated_once(self):
+        assert superpose._basis_kernel() is superpose._basis_kernel()
 
 
 class TestLambdaAnnihilation:
