@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .exactpoly import (
@@ -145,8 +146,10 @@ class Matrix3:
 
 
 def matrix_bracket(A: Matrix3, B: Matrix3) -> Matrix3:
-    """Commutator AB - BA, exact."""
-    return (A @ B) - (B @ A)
+    """Commutator AB - BA, exact, as one Matrix3 of row-by-column sums."""
+    a, b = A.rows, B.rows
+    return Matrix3([[sum(map(mul, ra, cb)) - sum(map(mul, rb, ca))
+                     for cb, ca in zip(zip(*b), zip(*a))] for ra, rb in zip(a, b)])
 
 
 def sl3_matrices() -> list[Matrix3]:

@@ -385,12 +385,12 @@ class _Source:
         self.consts: dict[tuple, str] = {}  # (type, repr) -> global name
         self.locals: dict[str, str] = {}  # expression text -> local name
         self.tested: set[str] = set()  # guard conditions already emitted
-        self.seen: dict[int, str] = {}  # id(node) -> operand
+        self.seen: dict[CoeffExpr, str] = {}  # node (by identity) -> operand
 
     def operand(self, node: CoeffExpr) -> str:
-        name = self.seen.get(id(node))
+        name = self.seen.get(node)
         if name is None:
-            name = self.seen[id(node)] = self.folded(node) or node._emit(self)
+            name = self.seen[node] = self.folded(node) or node._emit(self)
         return name
 
     def folded(self, node: CoeffExpr) -> str | None:

@@ -53,14 +53,16 @@ def _canonical(terms: dict) -> dict:
     return {e: c if type(c) is int else _scalar(c) for e, c in terms.items() if c}
 
 
-def _product_into(out: dict, a: dict, b: dict) -> dict:
-    """Add the product of the term maps a and b into out; return out."""
-    get = out.get
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            key = tuple(map(add, e1, e2))
-            out[key] = get(key, 0) + c1 * c2
-    return out
+def _merged(p, q, op):
+    """p op q term by term, op add or sub; NotImplemented unless q is a Polynomial."""
+    if not isinstance(q, Polynomial):
+        return NotImplemented
+    _check_coords(p, q)
+    terms = dict(p.terms)
+    get = terms.get
+    for exps, c in q.terms.items():
+        terms[exps] = op(get(exps, 0), c)
+    return Polynomial._make(p.coords, terms)
 
 
 def _point(point: Sequence[Scalar], n: int) -> list[Scalar]:
@@ -133,22 +135,13 @@ class Polynomial:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        _check_coords(self, other)
-        terms = dict(self.terms)
-        get = terms.get
-        for exps, c in other.terms.items():
-            terms[exps] = get(exps, 0) + c
-        return Polynomial._make(self.coords, terms)
+        return _merged(self, other, add)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial._make(self.coords, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
+        return _merged(self, other, sub)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -156,7 +149,13 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         _check_coords(self, other)
-        return Polynomial._make(self.coords, _product_into({}, self.terms, other.terms))
+        out: dict[tuple[int, ...], Scalar] = {}
+        get = out.get
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                key = tuple(map(add, e1, e2))
+                out[key] = get(key, 0) + c1 * c2
+        return Polynomial._make(self.coords, out)
 
     __rmul__ = __mul__
 
@@ -379,12 +378,19 @@ class VectorField:
         return self.coords == other.coords and self.components == other.components
 
     def apply(self, p: Polynomial) -> Polynomial:
-        """Lie derivative of a polynomial: X(p) = sum_i X^i dp/dx_i."""
+        """Lie derivative X(p) = sum_i X^i dp/dx_i in one pass over p's terms:
+        c x^e adds (c e_i) X^i at e lowered in x_i, for each e_i > 0."""
         _check_coords(self, p)
         out: dict[tuple[int, ...], Scalar] = {}
-        for comp, name in zip(self.components, self.coords):
-            if comp.terms:
-                _product_into(out, comp.terms, p.diff(name).terms)
+        get = out.get
+        comps = [comp.terms for comp in self.components]
+        for exps, c in p.terms.items():
+            for i, k in enumerate(exps):
+                if k and comps[i]:
+                    low, ck = exps[:i] + (k - 1,) + exps[i + 1 :], c * k
+                    for e, x in comps[i].items():
+                        key = tuple(map(add, low, e))
+                        out[key] = get(key, 0) + ck * x
         return Polynomial._make(self.coords, out)
 
     def eval(self, point: Sequence[Scalar]) -> list[Scalar]:

@@ -386,10 +386,10 @@ def integrate(
     # (float ** raises where * would give inf) is reported at that stage
     ts = t0 + (t + c0 * h)
     try:
-        k0x, k0v = v, rhs(ts, x, v)
+        k0v = rhs(ts, x, v)
     except OverflowError:
         raise NonFinite(ts) from None
-    if not (isfinite(k0x) and isfinite(k0v)):
+    if not (isfinite(v) and isfinite(k0v)):
         raise NonFinite(ts)
     # dense output steps to taus[last], filling taus[j:last] on the way
     last = len(grid) - 1
@@ -406,52 +406,52 @@ def integrate(
                 raise BlowUp(t0 + t)
             if steps == budget:
                 raise StepBudgetExceeded(t0 + t, budget)
-            # stages 1..6, each at its velocity kx; stage 0 is the last stage
-            # of the previous accepted step, or kept from the rejected attempt
+            # stages 1..6, each at its velocity kx; stage 0 (velocity v, by
+            # FSAL) is the accepted step's last stage, or the rejected attempt's
             try:
                 ts = t0 + (t + c1 * h)
                 k1x = v + h * (a10 * k0v)
-                k1v = rhs(ts, x + h * (a10 * k0x), k1x)
+                k1v = rhs(ts, x + h * (a10 * v), k1x)
                 if not (isfinite(k1x) and isfinite(k1v)):
                     raise NonFinite(ts)
                 ts = t0 + (t + c2 * h)
                 k2x = v + h * (a20 * k0v + a21 * k1v)
-                k2v = rhs(ts, x + h * (a20 * k0x + a21 * k1x), k2x)
+                k2v = rhs(ts, x + h * (a20 * v + a21 * k1x), k2x)
                 if not (isfinite(k2x) and isfinite(k2v)):
                     raise NonFinite(ts)
                 ts = t0 + (t + c3 * h)
                 k3x = v + h * (a30 * k0v + a31 * k1v + a32 * k2v)
-                k3v = rhs(ts, x + h * (a30 * k0x + a31 * k1x + a32 * k2x), k3x)
+                k3v = rhs(ts, x + h * (a30 * v + a31 * k1x + a32 * k2x), k3x)
                 if not (isfinite(k3x) and isfinite(k3v)):
                     raise NonFinite(ts)
                 ts = t0 + (t + c4 * h)
                 k4x = v + h * (a40 * k0v + a41 * k1v + a42 * k2v + a43 * k3v)
-                k4v = rhs(ts, x + h * (a40 * k0x + a41 * k1x + a42 * k2x
+                k4v = rhs(ts, x + h * (a40 * v + a41 * k1x + a42 * k2x
                                        + a43 * k3x), k4x)
                 if not (isfinite(k4x) and isfinite(k4v)):
                     raise NonFinite(ts)
                 ts = t0 + (t + c5 * h)
                 k5x = v + h * (a50 * k0v + a51 * k1v + a52 * k2v + a53 * k3v
                                + a54 * k4v)
-                k5v = rhs(ts, x + h * (a50 * k0x + a51 * k1x + a52 * k2x
+                k5v = rhs(ts, x + h * (a50 * v + a51 * k1x + a52 * k2x
                                        + a53 * k3x + a54 * k4x), k5x)
                 if not (isfinite(k5x) and isfinite(k5v)):
                     raise NonFinite(ts)
-                y5x = x + h * (a60 * k0x + a61 * k1x + a62 * k2x + a63 * k3x
+                y5x = x + h * (a60 * v + a61 * k1x + a62 * k2x + a63 * k3x
                                + a64 * k4x + a65 * k5x)
                 y5v = v + h * (a60 * k0v + a61 * k1v + a62 * k2v + a63 * k3v
                                + a64 * k4v + a65 * k5v)
                 ts = t0 + (t + c6 * h)
-                k6x, k6v = y5v, rhs(ts, y5x, y5v)
-                if not (isfinite(k6x) and isfinite(k6v)):
+                k6v = rhs(ts, y5x, y5v)  # stage 6's velocity is y5v
+                if not (isfinite(y5v) and isfinite(k6v)):
                     raise NonFinite(ts)
             except OverflowError:
                 raise NonFinite(ts) from None
-            y4x = x + h * (e0 * k0x + e1 * k1x + e2 * k2x + e3 * k3x
-                           + e4 * k4x + e5 * k5x + e6 * k6x)
+            y4x = x + h * (e0 * v + e1 * k1x + e2 * k2x + e3 * k3x
+                           + e4 * k4x + e5 * k5x + e6 * y5v)
             y4v = v + h * (e0 * k0v + e1 * k1v + e2 * k2v + e3 * k3v
                            + e4 * k4v + e5 * k5v + e6 * k6v)
-            if not (isfinite(y5x) and isfinite(y5v)):
+            if not isfinite(y5x):
                 raise NonFinite(t0 + t)
             sx, sv, s5x, s5v = abs(x), abs(v), abs(y5x), abs(y5v)
             if s5x > sx:
@@ -470,7 +470,7 @@ def integrate(
                                       x, v, k0v, y5x, y5v, k6v)
                 t = t + h
                 x, v = y5x, y5v
-                k0x, k0v = k6x, k6v
+                k0v = k6v
                 # PI controller (Hairer-style exponents for a 5th order pair)
                 factor = 0.9 * (err + 1e-300) ** -0.14 * (err_prev + 1e-300) ** 0.08
                 err_prev = 1e-10 if 1e-10 > err else err

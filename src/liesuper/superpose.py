@@ -23,7 +23,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from operator import is_
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .coeffexpr import StateVar, _Source, _code
 from .exactpoly import Polynomial, RationalFunction, VectorField, derive_along, prolong, prolonged_coords
@@ -161,15 +162,15 @@ def _basis_kernel():
     F431, F421 = f_abc(s4, s3, s1), f_abc(s4, s2, s1)
     D1 = f_abc(s1, s2, s4) - f_abc(s3, s2, s4)
     D2 = f_abc(s4, s1, s2) - f_abc(s3, s1, s2)
-    d21, d13 = x2 - x1, x1 - x3
-    rows = ((F431, D1, D2, F421, g_abcd(s3, s1, s2, s4), g_abcd(s2, s1, s3, s4),
-             x2 * F431, x3 * F421),
-            (x1, v1, x2, v2, x3, v3, d21, d13, F431, F421, d21 * F431, d13 * F421))
-    k = _Source()  # keys nodes by id: rows keeps every node alive
+    k = _Source()
     # slot a's leaves are the loop's xa, ua: k names its own locals v0, v1, ...
-    k.seen.update((id(leaf), f"{c}{a}") for a, s in enumerate(slots, 1)
+    k.seen.update((leaf, f"{c}{a}") for a, s in enumerate(slots, 1)
                   for c, leaf in zip("xu", s))
-    xr, vr = ([k.operand(e) for e in row] for row in rows)
+    xr = [k.operand(e) for e in (F431, D1, D2, F421, g_abcd(s3, s1, s2, s4),
+                                 g_abcd(s2, s1, s3, s4), x2 * F431, x3 * F421)]
+    d21, d13 = x2 - x1, x1 - x3
+    vr = [k.operand(e) for e in (x1, v1, x2, v2, x3, v3, d21, d13, F431, F421,
+                                 d21 * F431, d13 * F421)]
     body = "".join(f"        {line}\n" for line in k.lines)
     scale = ", ".join(f"abs({e})" for e in xr[:4])
     exec(_code(
@@ -402,12 +403,14 @@ def _slot_vars(coords, a: int) -> tuple[Polynomial, Polynomial]:
     )
 
 
-def _lambda_f_polynomials() -> dict[tuple[int, int, int], Polynomial]:
-    """The six distinct F_abc of LAMBDA_SLOTS as exact polynomials."""
+@functools.cache
+def _lambda_f_polynomials() -> Mapping[tuple[int, int, int], Polynomial]:
+    """The six distinct F_abc of LAMBDA_SLOTS as exact polynomials, read-only."""
     coords = prolonged_coords(("x", "v"), 5)
-    return _lambda_f([_slot_vars(coords, a) for a in range(5)])
+    return MappingProxyType(_lambda_f([_slot_vars(coords, a) for a in range(5)]))
 
 
+@functools.cache
 def lambda_rational_functions() -> tuple[RationalFunction, RationalFunction]:
     """Lambda1, Lambda2 as exact rational functions on (x0..x4, v0..v4)."""
     F = _lambda_f_polynomials()

@@ -10,8 +10,15 @@ from fractions import Fraction
 
 from hypothesis import assume, given, strategies as st
 
-from liesuper.algebra import Matrix3, sl3_matrices
-from liesuper.exactpoly import Polynomial, VectorField, lie_bracket
+from liesuper.algebra import Matrix3, builtin_fields, matrix_bracket, sl3_matrices
+from liesuper.exactpoly import (
+    Polynomial,
+    VectorField,
+    lie_bracket,
+    prolong,
+    prolonged_coords,
+)
+from liesuper.superpose import _lambda_f_polynomials
 
 import reference
 from reference import FractionPolynomial
@@ -21,7 +28,9 @@ COORDS = ("x", "v")
 # integers, non-integral and integral Fractions, and bools, which are ints too
 coefficients = st.one_of(
     st.integers(min_value=-6, max_value=6),
-    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    # every p/q in [-5, 5] with q <= 7, as test_exactpoly's rationals
+    st.builds(lambda m, q: Fraction(m * q // 7, q),
+              st.integers(-35, 35), st.integers(1, 7)),
     st.integers(min_value=-6, max_value=6).map(Fraction),
     st.booleans(),
 )
@@ -31,6 +40,17 @@ term_maps = st.dictionaries(
     coefficients,
     max_size=5,
 )
+
+
+# term maps on the 10 coordinates (x0..x4, v0..v4) of the 5-copy space
+PROLONGED = prolonged_coords(COORDS, 5)
+prolonged_term_maps = st.dictionaries(
+    st.tuples(*[st.integers(min_value=0, max_value=2)] * len(PROLONGED)),
+    coefficients,
+    max_size=4,
+)
+matrices = st.lists(coefficients, min_size=9, max_size=9).map(
+    lambda xs: Matrix3([xs[0:3], xs[3:6], xs[6:9]]))
 
 
 def _ref(p: Polynomial) -> FractionPolynomial:
@@ -87,6 +107,24 @@ def test_apply_and_bracket_match_the_reference(x1, x2, y1, y2, p):
     for got, want in zip(lie_bracket(X, Y).components,
                          reference.bracket_reference(rX, rY)):
         assert_matches(got, want)
+
+
+@given(st.integers(min_value=0, max_value=7), coefficients, prolonged_term_maps)
+def test_one_pass_apply_matches_the_reference_on_prolonged_fields(i, c, p):
+    """c X_i prolonged to five copies, applied to each F_abc of Lambda and to
+    a random polynomial: the one-pass apply against the per-coordinate sum."""
+    hat = prolong(builtin_fields("sl3-family")[i].scale(c), 5)
+    ref = [_ref(comp) for comp in hat.components]
+    for f in (*_lambda_f_polynomials().values(), Polynomial(PROLONGED, p)):
+        assert_matches(hat.apply(f), reference.apply_reference(ref, _ref(f)))
+
+
+@given(matrices, matrices)
+def test_matrix_bracket_is_the_commutator(A, B):
+    C = matrix_bracket(A, B)
+    assert C == A @ B - B @ A
+    for x in C.flat():
+        assert type(x) is int or (type(x) is Fraction and x.denominator != 1)
 
 
 @given(term_maps)

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from liesuper import superpose
 from liesuper.algebra import builtin_fields
 from liesuper.cli import _mutated_sl3_fields
-from liesuper.exactpoly import derive_along, prolong
+from liesuper.coeffexpr import StateVar, _Source
+from liesuper.exactpoly import Polynomial, derive_along, prolong, prolonged_coords
 from liesuper.odeint import Trajectory, integrate, lift_sode
 from liesuper.superpose import (
     LAMBDA_SLOTS,
@@ -28,6 +29,7 @@ from liesuper.superpose import (
     verify_lambda_annihilation,
     _cofactors,
     _cofactors_cancel,
+    _lambda_f,
     _lambda_f_polynomials,
 )
 from liesuper.worked_example import example_states
@@ -318,12 +320,47 @@ class TestBasisKernel:
     def test_kernel_is_generated_once(self):
         assert superpose._basis_kernel() is superpose._basis_kernel()
 
+    @staticmethod
+    def _source(hold: bool) -> list[str]:
+        """The lines of the x row (x2*F431, x3*F421), then of the v row
+        (d21*F431, d13*F421), both nodes of each pair built on the fly."""
+        s1, s2, s3, s4 = [(StateVar("x"), StateVar("v")) for _ in range(4)]
+        (x1, _), (x2, _), (x3, _) = s1, s2, s3
+        F431, F421 = f_abc(s4, s3, s1), f_abc(s4, s2, s1)
+        k = _Source()
+        k.seen.update((leaf, f"{c}{a}") for a, s in enumerate((s1, s2, s3, s4), 1)
+                      for c, leaf in zip("xu", s))
+        held = (x2 * F431, x3 * F421) if hold else ()
+        xr = [k.operand(e) for e in held or (x2 * F431, x3 * F421)]
+        d21, d13 = x2 - x1, x1 - x3  # may reuse the memory of a freed node
+        vr = [k.operand(e) for e in (d21 * F431, d13 * F421)]
+        return k.lines + xr + vr
+
+    def test_freed_nodes_are_not_read_back(self):
+        """An x row emitted from a temporary tuple gives the source of one
+        whose nodes are held: the emitter keeps what it has named alive."""
+        assert self._source(hold=False) == self._source(hold=True)
+
 
 class TestLambdaAnnihilation:
     def test_generators_annihilate_exactly(self):
         report = verify_lambda_annihilation()
         assert report.passed
         assert all(r.computed == "zero" for r in report.records)
+
+    def test_f_polynomials_are_built_once_and_read_only(self):
+        F = _lambda_f_polynomials()
+        assert F is _lambda_f_polynomials()
+        assert lambda_rational_functions() is lambda_rational_functions()
+        coords = prolonged_coords(("x", "v"), 5)
+        slots = [(Polynomial.variable(f"x{a}", coords),
+                  Polynomial.variable(f"v{a}", coords)) for a in range(5)]
+        assert dict(F) == _lambda_f(slots)
+        with pytest.raises(TypeError):
+            F[4, 3, 1] = F[4, 2, 1]
+        with pytest.raises(TypeError):
+            del F[4, 3, 1]
+        assert dict(_lambda_f_polynomials()) == _lambda_f(slots)
 
     def test_cofactor_verdict_matches_quotient_rule(self):
         F = _lambda_f_polynomials()
