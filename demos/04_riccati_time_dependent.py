@@ -8,10 +8,11 @@ v' = v / sqrt(a3(t)) (positions untouched) maps it into the family of demo 3,
 so the same four-solutions-plus-two-constants rule applies — it just has to
 be conjugated by the transformation, making the rule *time-dependent*.
 
-Shown here: the derived damping coefficients, the exactness of the
-transformed right-hand side (an identity checked by the chain rule), a full
-reconstruction round-trip, and the degeneration a3 = 1, where the pipeline
-returns bit-for-bit the time-independent answer.
+Shown here: the derived damping coefficients, the transformed right-hand
+side as an exact identity (proved on the integrator's own formula trees,
+with polynomial residuals that must be zero), a full reconstruction
+round-trip, and the degeneration a3 = 1, where the pipeline returns
+bit-for-bit the time-independent answer.
 """
 
 import random
@@ -49,7 +50,7 @@ def main():
     print("derived damping at t = 0: "
           f"b0 = {c.b0.eval(0.0):.6g}, b1 = {c.b1.eval(0.0):.6g}")
 
-    report = transformed_rhs_check(c)
+    report = transformed_rhs_check()
     print(report.to_text())
 
     sys = c.system()

@@ -10,7 +10,7 @@ computation rather than trusted.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
@@ -281,7 +281,7 @@ class CheckRecord:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # the five fields, shallow: each is a str
 
 
 @dataclass

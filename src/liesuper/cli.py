@@ -441,9 +441,8 @@ def cmd_superpose(args) -> int:
         integrated = []
 
     if sys_.family == "riccati":
-        rc = RiccatiCoeffs(**sys_.coeffs, interval=(t0, t1))
         result = superpose_riccati(
-            rc, trajs, constants=constants, target=target,
+            RiccatiCoeffs(**sys_.coeffs), trajs, constants=constants, target=target,
             fit_time=fit_time, eps_gen=eps_gen,
         )
     else:

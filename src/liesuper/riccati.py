@@ -4,9 +4,9 @@ The family is  xddot + (b0(t) + b1(t) x) xdot + a0 + a1 x + a2 x^2 + a3 x^3 = 0
 with a3 > 0, a3(0) = 1 and the derived damping b0 = a2/sqrt(a3) - a3'/(2 a3),
 b1 = 3 sqrt(a3).  The first-order lift is not a Lie system, but the
 time-dependent rescaling v' = v/sqrt(a3(t)) (positions untouched) maps it
-into the sl(3,R) family handled by :mod:`liesuper.superpose`.  The
-superposition therefore runs in transformed coordinates and only the
-velocities need to be mapped back at the end.
+into the sl(3,R) family of :mod:`liesuper.superpose`, an exact identity that
+:func:`transformed_rhs_check` proves.  The superposition therefore runs in
+transformed coordinates and only the velocities are mapped back at the end.
 
 The beta row and the transformed basis are built once per trajectories and
 :class:`RiccatiCoeffs` object, in the memo of :mod:`liesuper.superpose`.
@@ -21,8 +21,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import Report
-from .coeffexpr import CoeffExpr, DomainError, Sqrt
+from . import odeint
+from .algebra import Report, builtin_fields
+from .coeffexpr import CoeffExpr, Const, DomainError, Neg, Pow, Sqrt, StateVar
+from .exactpoly import Polynomial
 from .odeint import FirstOrderSystem, Trajectory, _system, lift_sode
 from .superpose import (
     EPS_GEN,
@@ -52,20 +54,17 @@ class RiccatiCoeffs:
     a3: CoeffExpr
     b0: CoeffExpr
     b1: CoeffExpr
-    interval: tuple[float, float]
 
     def beta(self, t: float) -> float:
-        """The velocity rescaling sqrt(a3(t)); positive on the interval."""
+        """The velocity rescaling sqrt(a3(t)); DomainError where a3(t) <= 0."""
         a3 = self.a3.eval(t)
         if a3 <= 0.0:
             raise DomainError(t, self.a3, "a3 must be positive")
         return math.sqrt(a3)
 
-    def system(self, b0_override: CoeffExpr | None = None) -> FirstOrderSystem:
-        """First-order lift; ``b0_override`` exists for negative controls."""
-        b0 = self.b0 if b0_override is None else b0_override
-        return _system("riccati", {"a0": self.a0, "a1": self.a1, "a2": self.a2,
-                                   "a3": self.a3, "b0": b0, "b1": self.b1})
+    def system(self) -> FirstOrderSystem:
+        """The first-order lift of this family member."""
+        return _system("riccati", dict(vars(self)))
 
 
 def build_riccati(a0, a1, a2, a3, interval: tuple[float, float]) -> RiccatiCoeffs:
@@ -76,10 +75,8 @@ def build_riccati(a0, a1, a2, a3, interval: tuple[float, float]) -> RiccatiCoeff
     and a3(0) = 1 within 1e-12.  Raises ConstraintViolation naming the
     failing constraint and sample time.
     """
-    sys = lift_sode(
-        "riccati", {"a0": a0, "a1": a1, "a2": a2, "a3": a3}, interval=interval
-    )
-    return RiccatiCoeffs(**sys.coeffs, interval=tuple(interval))
+    coeffs = {"a0": a0, "a1": a1, "a2": a2, "a3": a3}
+    return RiccatiCoeffs(**lift_sode("riccati", coeffs, interval=interval).coeffs)
 
 
 def transform_state(c: RiccatiCoeffs, t: float, state: State) -> State:
@@ -97,51 +94,65 @@ def untransform_state(c: RiccatiCoeffs, t: float, state: State) -> State:
     return (x, v * c.beta(t))
 
 
-def transformed_rhs_check(
-    c: RiccatiCoeffs, b0_override: CoeffExpr | None = None
-) -> Report:
-    """Compare the push-forward of the lifted system with the printed target.
+_COORDS = ("x", "w", "a0", "a1", "a2", "s", "sp")  # s = sqrt(a3), sp = s', w = v/s
+_ONE = Polynomial.constant(1, _COORDS)
 
-    At each of 20 samples (t, x', v') the time derivative of (x', v')
-    computed via the chain rule through v' = v/sqrt(a3) must match the
-    Lie-system right-hand side  dx'/dt = sqrt(a3) v',
-    dv'/dt = -a0/sqrt(a3) - sqrt(a3)(3v'x' + x'^3) - a1 x'/sqrt(a3)
-             - a2 (v' + x'^2)/sqrt(a3).
-    Discrepancies are report content; ``b0_override`` lets tests demonstrate
-    that dropping the a3'/(2 a3) term breaks the identity.
+
+class _Coeff(StateVar):
+    """A coefficient as an opaque named leaf; its diff() is the leaf of a'."""
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
+
+    def diff(self) -> CoeffExpr:
+        return _Coeff(self.name + "'")
+
+
+def _quotient(e: CoeffExpr, leaves: dict) -> tuple[Polynomial, Polynomial]:
+    """(N, D) with e = N/D; a leaf, or sqrt(a3), is ``leaves`` or a coordinate."""
+    if isinstance(e, (StateVar, Sqrt)):
+        return leaves.get(str(e)) or Polynomial.variable(str(e), _COORDS), _ONE
+    if isinstance(e, Const):
+        return Polynomial.constant(e.value, _COORDS), _ONE
+    if isinstance(e, Neg):
+        return _quotient(Const(-1) * e.arg, leaves)
+    if isinstance(e, Pow):
+        n, d = _quotient(e.base, leaves)
+        return n ** e.exponent, d ** e.exponent
+    (n1, d1), (n2, d2) = _quotient(e.left, leaves), _quotient(e.right, leaves)
+    if e.symbol == "*":
+        return n1 * n2, d1 * d2
+    if e.symbol == "/":
+        if n2.is_zero:
+            raise ZeroDivisionError(f"division by zero in {e}")
+        return n1 * d2, d1 * n2
+    return (n1 * d2 + n2 * d1 if e.symbol == "+" else n1 * d2 - n2 * d1), d1 * d2
+
+
+def transformed_rhs_check() -> Report:
+    """Prove that v' = v/sqrt(a3) maps the Riccati lift into an sl(3,R) Lie system.
+
+    The Riccati row of ``odeint.FAMILIES`` with ``odeint.riccati_damping`` (the
+    integrator's trees) is read on opaque coefficients as F = N/D over _COORDS,
+    with a3 = s^2, a3' = 2 s sp, sqrt(a3) = s, v = s w.  Each record holds one
+    component of 4 s D (push-forward (s w, (F - w sp)/s) - printed system), the
+    printed system being, in ``builtin_fields("sl3-family")`` on (x, w),
+      s X1 - (a0/s) X2 - (a1/(2s)) (X3 + X7) - (a2/(4s)) (X8 - 2 X4).
     """
-    t0, t1 = c.interval
-    samples = [
-        (t0 + (t1 - t0) * (i + 0.5) / 20, 0.3 * math.sin(3.1 * i + 0.7),
-         0.4 * math.cos(2.3 * i + 0.2))
-        for i in range(20)
-    ]
-    sys = c.system(b0_override=b0_override)
-    beta_dot = Sqrt(c.a3).diff()
-    report = Report("push-forward of the lifted system vs printed Lie system")
-    worst = 0.0
-    for t, xp, vp in samples:
-        beta = c.beta(t)
-        v = vp * beta
-        vdot = sys.rhs(t, xp, v)
-        # chain rule: d(v/beta)/dt = vdot/beta - v * beta'/beta^2
-        pushed = (v, vdot / beta - v * beta_dot.eval(t) / beta**2)
-        printed = (
-            beta * vp,
-            -c.a0.eval(t) / beta
-            - beta * (3 * vp * xp + xp**3)
-            - c.a1.eval(t) * xp / beta
-            - c.a2.eval(t) * (vp + xp**2) / beta,
-        )
-        disc = max(abs(pushed[0] - printed[0]), abs(pushed[1] - printed[1]))
-        worst = max(worst, disc)
-    report.add(
-        "max |push-forward - printed RHS| over samples",
-        "~0 (chain-rule identity)",
-        f"{worst:.3e}",
-        worst <= 1e-10,
-        warn_only=True,
-    )
+    x, w, a0, a1, a2, s, sp = (Polynomial.variable(n, _COORDS) for n in _COORDS)
+    coeffs = {n: _Coeff(n) for n in ("a0", "a1", "a2", "a3")}
+    b0, b1 = odeint.riccati_damping(coeffs["a2"], coeffs["a3"])
+    leaves = {"v": s * w, "a3": s * s, "a3'": 2 * s * sp, "sqrt(a3)": s}
+    num, den = _quotient(odeint.FAMILIES["riccati"][1](**coeffs, b0=b0, b1=b1), leaves)
+    pushed = (4 * s * s * w * den, 4 * (num - w * sp * den))
+    weights = (4 * s * s, -4 * a0, -2 * a1, 2 * a2, 0, 0, -2 * a1, -a2)
+    fields = [[Polynomial(_COORDS, {e + (0,) * 5: c for e, c in p.terms.items()})
+               for p in X.components] for X in builtin_fields("sl3-family")]
+    report = Report("push-forward of the rescaled Riccati lift vs printed Lie system")
+    for k, name in enumerate(("x", "w")):  # (x, v) components, v read as w
+        printed = sum((c * X[k] for c, X in zip(weights, fields)), 0 * x)
+        residual = pushed[k] - printed * den
+        report.add(f"d{name}/dt residual times 4sD", 0, residual, residual.is_zero)
     return report
 
 

@@ -26,3 +26,7 @@ def test_demo_runs_cleanly(demo):
     if demo.stem == "04_riccati_time_dependent":
         assert ("bit-for-bit identical to the time-independent path: True\n"
                 in done.stdout)
+        # the exact rescaling identity: both residuals zero, verdict OK
+        assert ("[PASS] dx/dt residual times 4sD: expected 0, got 0\n"
+                "[PASS] dw/dt residual times 4sD: expected 0, got 0\n"
+                "=> OK (2 checks)\n") in done.stdout

@@ -81,8 +81,7 @@ class TestLift:
         # with b0 and b1 free of a3, the formula's order shows: x**2 overflows
         # before a failing a3 is read, but after a failing b0 is
         zero, bad = Const(0), parse_expr("1/(t - t)")
-        a3_fails = RiccatiCoeffs(zero, zero, zero, bad, zero, zero,
-                                 (0.0, 1.0)).system()
+        a3_fails = RiccatiCoeffs(zero, zero, zero, bad, zero, zero).system()
         with pytest.raises(OverflowError):
             a3_fails.rhs(0.5, 1e200, 0.0)
         with pytest.raises(NonFinite):
@@ -90,8 +89,7 @@ class TestLift:
         with pytest.raises(DomainError) as exc:
             a3_fails.rhs(0.5, 1.0, 0.0)
         assert exc.value.node is bad
-        b0_fails = RiccatiCoeffs(zero, zero, zero, Const(1), bad, zero,
-                                 (0.0, 1.0)).system()
+        b0_fails = RiccatiCoeffs(zero, zero, zero, Const(1), bad, zero).system()
         with pytest.raises(DomainError) as exc:
             b0_fails.rhs(0.5, 1e200, 0.0)
         assert exc.value.node is bad and exc.value.t == 0.5

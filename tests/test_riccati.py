@@ -2,8 +2,9 @@
 
 import pytest
 
-from liesuper.coeffexpr import DomainError
-from liesuper.odeint import ConstraintViolation, Trajectory, integrate
+from liesuper import odeint
+from liesuper.coeffexpr import Const, DomainError, Neg, Sqrt
+from liesuper.odeint import ConstraintViolation, Trajectory, integrate, lift_sode
 from liesuper.riccati import (
     RiccatiCoeffs,
     build_riccati,
@@ -64,21 +65,43 @@ class TestTransform:
 
 class TestTransformedRhs:
     def test_chain_rule_identity(self):
-        report = transformed_rhs_check(coeffs())
+        # the chain-rule push-forward equals the printed Lie system exactly
+        report = transformed_rhs_check()
         assert report.passed
-        worst = float(report.records[0].computed)
-        assert worst <= 1e-10
+        assert [(r.status, r.computed) for r in report.records] == [("PASS", "0")] * 2
 
-    def test_negative_control_dropped_derivative_term(self):
-        # replacing b0 by just a2/sqrt(a3) (no -a3'/(2 a3) term) must break
-        # the push-forward identity by a visible margin
-        c = coeffs()
-        from liesuper.coeffexpr import Sqrt
+    def test_negative_control_dropped_derivative_term(self, monkeypatch):
+        # a damping b0 = a2/sqrt(a3), without the -a3'/(2 a3) term, must break
+        # the identity in dw/dt, and the record must name the residual
+        monkeypatch.setattr(odeint, "riccati_damping",
+                            lambda a2, a3: (a2 / Sqrt(a3), Const(3) * Sqrt(a3)))
+        x_rec, w_rec = transformed_rhs_check().records
+        assert (x_rec.status, x_rec.computed) == ("PASS", "0")
+        assert (w_rec.status, w_rec.computed) == ("FAIL", "-4*w*s*sp")
 
-        wrong_b0 = c.a2 / Sqrt(c.a3)
-        report = transformed_rhs_check(c, b0_override=wrong_b0)
-        worst = float(report.records[0].computed)
-        assert worst > 1e-3
+    def test_negative_control_changed_family_row(self, monkeypatch):
+        # the check reads the Riccati row the integrator runs: a1 x read as
+        # a2 x there must fail, with the residual 4 (a1 - a2) x D, D = 2 s^3
+        X, V = odeint.X, odeint.V
+        defaults, _ = odeint.FAMILIES["riccati"]
+        monkeypatch.setitem(odeint.FAMILIES, "riccati", (
+            defaults, lambda a0, a1, a2, a3, b0, b1:
+            Neg(b0 + b1 * X) * V - a0 - a2 * X - a2 * X**2 - a3 * X**3))
+        report = transformed_rhs_check()
+        x_rec, w_rec = report.records
+        assert not report.passed and x_rec.status == "PASS"
+        assert (w_rec.status, w_rec.computed) == ("FAIL", "8*x*a1*s^3 - 8*x*a2*s^3")
+        # the lift built from the same row reads a2 x too: one tree, not two
+        sys = lift_sode("riccati", {"a1": "1", "a2": "0"})
+        assert sys.rhs(0.0, 1.0, 0.0) == -1.0
+
+    def test_zero_divisor_is_refused(self, monkeypatch):
+        # a row dividing by zero has no quotient, and cannot pass vacuously
+        defaults, accel = odeint.FAMILIES["riccati"]
+        monkeypatch.setitem(odeint.FAMILIES, "riccati", (
+            defaults, lambda **c: accel(**c) / (c["a1"] - c["a1"])))
+        with pytest.raises(ZeroDivisionError, match="division by zero"):
+            transformed_rhs_check()
 
 
 class TestSuperposeRiccati:
