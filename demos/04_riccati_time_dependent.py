@@ -18,9 +18,10 @@ bit-for-bit the time-independent answer.
 import random
 
 from liesuper import (
+    RiccatiCoeffs,
     SuperposeProblem,
-    build_riccati,
     integrate,
+    lift_sode,
     reconstruct,
     superpose_riccati,
     transformed_rhs_check,
@@ -43,17 +44,16 @@ def generic_ics(rng, n=5):
 
 def main():
     rng = random.Random(8)
-    c = build_riccati(
-        "0.1*cos(t)", "0.2", "0.1*sin(t)", "(1 + 0.1*sin(t))^2",
-        interval=(0.0, 0.8),
-    )
+    sys = lift_sode("riccati", {"a0": "0.1*cos(t)", "a1": "0.2", "a2": "0.1*sin(t)",
+                                "a3": "(1 + 0.1*sin(t))^2"}, interval=(0.0, 0.8))
+    b0, b1 = sys.coeffs["b0"], sys.coeffs["b1"]
     print("derived damping at t = 0: "
-          f"b0 = {c.b0.eval(0.0):.6g}, b1 = {c.b1.eval(0.0):.6g}")
+          f"b0 = {b0.eval(0.0):.6g}, b1 = {b1.eval(0.0):.6g}")
 
     report = transformed_rhs_check()
     print(report.to_text())
 
-    sys = c.system()
+    c = RiccatiCoeffs(sys.coeffs["a3"])
     grid = linspace(0.0, 0.8, 81)
     ics = generic_ics(rng)
     trajs = [integrate(sys, ic, 0.0, grid, 1e-10) for ic in ics]
@@ -63,8 +63,8 @@ def main():
     print(f"\nreconstruction error over the window: {err:.3e}")
 
     print("\n== degeneration a3 = 1 ==")
-    c1 = build_riccati("0", "0", "0", "1", interval=(0.0, 1.0))
-    sys1 = c1.system()
+    sys1 = lift_sode("riccati", {"a0": "0", "a1": "0", "a2": "0", "a3": "1"})
+    c1 = RiccatiCoeffs(sys1.coeffs["a3"])
     g1 = linspace(0.0, 1.0, 61)
     ics1 = generic_ics(rng)
     trajs1 = [integrate(sys1, ic, 0.0, g1, 1e-10) for ic in ics1]

@@ -35,7 +35,7 @@ def linspace(start, stop, n):
 
 
 def main():
-    print(worked_example_report(t=1.0).to_text())
+    print(worked_example_report().to_text())
 
     print("\n== degeneracy in action ==")
     t = 1.3

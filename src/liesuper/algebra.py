@@ -347,27 +347,20 @@ def _add_coeffs(report: Report, name: str, expected, computed) -> None:
                else _coeff_str(computed), computed == expected)
 
 
-def _table(fields, table) -> StructureTable | NotClosed:
-    """``table``, or else that of ``fields`` (by default the sl3 family)."""
-    if table is not None:
-        return table
-    return _structure_or_not_closed(
-        list(fields) if fields is not None else builtin_fields("sl3-family"))
+def _sl3_table() -> StructureTable | NotClosed:
+    return _structure_or_not_closed(builtin_fields("sl3-family"))
 
 
-def verify_paper_table(
-    fields: Sequence[VectorField] | None = None,
-    table: StructureTable | NotClosed | None = None,
-) -> Report:
+def verify_paper_table(table: StructureTable | NotClosed | None = None) -> Report:
     """Compare the computed X1..X8 structure constants with the printed table.
 
     Mismatches are report content, not exceptions, so typos in the literal
     table (or deliberately mutated fields) are detectable.  ``table`` is
-    :func:`_structure_or_not_closed` of the fields when the caller has it
-    already; by default it is computed here.
+    :func:`_structure_or_not_closed` of the fields checked; by default, that
+    of the sl3 family, computed here.
     """
     report = Report("bracket table of {X1..X8} vs printed relations")
-    table = _table(fields, table)
+    table = _sl3_table() if table is None else table
     if isinstance(table, NotClosed):
         _add_not_closed(report, table, note=f"bracket = {table.bracket}")
         return report
@@ -378,10 +371,7 @@ def verify_paper_table(
     return report
 
 
-def verify_isomorphism(
-    fields: Sequence[VectorField] | None = None,
-    table: StructureTable | NotClosed | None = None,
-) -> Report:
+def verify_isomorphism(table: StructureTable | NotClosed | None = None) -> Report:
     """Check that M1..M8 realise exactly the X1..X8 structure constants.
 
     Verifies tracelessness and linear independence of the matrices (so the
@@ -399,7 +389,7 @@ def verify_isomorphism(
     span = Elimination([dict(enumerate(M.flat())) for M in mats])
     report.add("rank of {M1..M8}", 8, span.rank, span.rank == len(mats))
 
-    table = _table(fields, table)
+    table = _sl3_table() if table is None else table
     if isinstance(table, NotClosed):
         _add_not_closed(report, table)
         return report

@@ -243,10 +243,16 @@ def _step_stats(trajs) -> dict:
     }
 
 
-def _write_report(path: str, report_dict: dict) -> None:
-    with _writing(path), open(path, "w") as fh:
-        json.dump(report_dict, fh, indent=2, sort_keys=True)
+def _write_json(path: str, data: dict) -> None:
+    """Write data as indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_report(path: str, report_dict: dict) -> None:
+    with _writing(path):
+        _write_json(path, report_dict)
     print(f"report written to {path}")
 
 
@@ -267,14 +273,14 @@ def _mutated_sl3_fields() -> list[VectorField]:
 def cmd_verify(args) -> int:
     """Run every machine-computable verification suite and write reports."""
     fields = _mutated_sl3_fields() if args.mutate_x5 else None
-    basis = fields or builtin_fields("sl3-family")
-    table = _structure_or_not_closed(basis)  # one table for both suites
+    # one table for both suites
+    table = _structure_or_not_closed(fields or builtin_fields("sl3-family"))
     reports: list[Report] = [
-        verify_paper_table(basis, table),
-        verify_isomorphism(basis, table),
+        verify_paper_table(table),
+        verify_isomorphism(table),
         verify_scheme(),
         verify_lambda_annihilation(all_fields=args.all_fields, fields=fields),
-        worked_example_report(t=1.0),
+        worked_example_report(),
     ]
     text = "\n\n".join(r.to_text() for r in reports)
     print(text)
@@ -286,14 +292,8 @@ def cmd_verify(args) -> int:
             os.makedirs(out_dir, exist_ok=True)
             with open(os.path.join(out_dir, "verify_report.txt"), "w") as fh:
                 fh.write(text + "\n")
-            with open(os.path.join(out_dir, "verify_report.json"), "w") as fh:
-                json.dump(
-                    {"passed": passed, "suites": [r.to_dict() for r in reports]},
-                    fh,
-                    indent=2,
-                    sort_keys=True,
-                )
-                fh.write("\n")
+            _write_json(os.path.join(out_dir, "verify_report.json"),
+                        {"passed": passed, "suites": [r.to_dict() for r in reports]})
     return EXIT_OK if passed else EXIT_VERIFY_FAIL
 
 
@@ -442,8 +442,8 @@ def cmd_superpose(args) -> int:
 
     if sys_.family == "riccati":
         result = superpose_riccati(
-            RiccatiCoeffs(**sys_.coeffs), trajs, constants=constants, target=target,
-            fit_time=fit_time, eps_gen=eps_gen,
+            RiccatiCoeffs(sys_.coeffs["a3"]), trajs, constants=constants,
+            target=target, fit_time=fit_time, eps_gen=eps_gen,
         )
     else:
         problem = SuperposeProblem(

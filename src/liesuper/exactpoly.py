@@ -287,9 +287,7 @@ class RationalFunction:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Polynomial, den: Polynomial | None = None):
-        if den is None:
-            den = Polynomial.constant(1, num.coords)
+    def __init__(self, num: Polynomial, den: Polynomial):
         _check_coords(num, den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator in RationalFunction")
@@ -301,10 +299,6 @@ class RationalFunction:
     @property
     def coords(self) -> tuple[str, ...]:
         return self.num.coords
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction):
@@ -357,20 +351,8 @@ class VectorField:
     def __neg__(self) -> "VectorField":
         return VectorField([-c for c in self.components], self.coords)
 
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return self + (-other)
-
     def scale(self, c: Scalar) -> "VectorField":
         return VectorField([p.scale(c) for p in self.components], self.coords)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VectorField):
@@ -539,9 +521,10 @@ class Elimination:
             prev = piv
         return row, combo, prev
 
-    def solve(self, target: dict) -> list[Fraction] | None:
+    def solve(self, target: dict) -> list[Scalar] | None:
         """Exact coefficients c with sum c_i basis_i == target, or None.
 
+        Each coefficient is a canonical scalar, an int when integral.
         Dependent basis vectors get coefficient 0.  The combination they
         stand for is checked, over the integers, to reproduce the target
         exactly before they are returned.
@@ -560,7 +543,7 @@ class Elimination:
         }:
             return None
         den = -scale * last
-        return [Fraction(combo.get(j, 0) * s, den)
+        return [_scalar(Fraction(a * s, den)) if (a := combo.get(j)) else 0
                 for j, s in enumerate(self._scales)]
 
 
@@ -580,7 +563,7 @@ def rank_at(fields: Sequence[VectorField], point: Sequence[Scalar]) -> int:
 
 def in_span(
     X: VectorField, basis: Sequence[VectorField]
-) -> list[Fraction] | None:
+) -> list[Scalar] | None:
     """Exact coefficients c with X = sum c_i basis_i, or None if not in span.
 
     The fields are vectors over their (component, monomial) slots; see

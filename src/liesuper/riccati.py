@@ -8,8 +8,11 @@ into the sl(3,R) family of :mod:`liesuper.superpose`, an exact identity that
 :func:`transformed_rhs_check` proves.  The superposition therefore runs in
 transformed coordinates and only the velocities are mapped back at the end.
 
-The beta row and the transformed basis are built once per trajectories and
-:class:`RiccatiCoeffs` object, in the memo of :mod:`liesuper.superpose`.
+The pipeline reads one thing of a family member, its a3: :class:`RiccatiCoeffs`
+holds the a3 of the member's one lift by :func:`liesuper.odeint.lift_sode`,
+whose ``coeffs`` hold the damping b0, b1.  The beta row and the transformed
+basis are built once per trajectories and :class:`RiccatiCoeffs` object, in
+the memo of :mod:`liesuper.superpose`.
 
 With a3 identically 1 the rescaling is the floating-point identity, so this
 whole pipeline degenerates bit-for-bit to the time-independent one.
@@ -25,7 +28,7 @@ from . import odeint
 from .algebra import Report, builtin_fields
 from .coeffexpr import CoeffExpr, Const, DomainError, Neg, Pow, Sqrt, StateVar
 from .exactpoly import Polynomial
-from .odeint import FirstOrderSystem, Trajectory, _system, lift_sode
+from .odeint import Trajectory, lift_sode
 from .superpose import (
     EPS_GEN,
     ReconstructionResult,
@@ -46,14 +49,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RiccatiCoeffs:
-    """Validated coefficients of one family member, with derived b0, b1."""
+    """The a3 of one family member, as its lift checked it (a3(0) = 1)."""
 
-    a0: CoeffExpr
-    a1: CoeffExpr
-    a2: CoeffExpr
     a3: CoeffExpr
-    b0: CoeffExpr
-    b1: CoeffExpr
 
     def beta(self, t: float) -> float:
         """The velocity rescaling sqrt(a3(t)); DomainError where a3(t) <= 0."""
@@ -62,21 +60,18 @@ class RiccatiCoeffs:
             raise DomainError(t, self.a3, "a3 must be positive")
         return math.sqrt(a3)
 
-    def system(self) -> FirstOrderSystem:
-        """The first-order lift of this family member."""
-        return _system("riccati", dict(vars(self)))
-
 
 def build_riccati(a0, a1, a2, a3, interval: tuple[float, float]) -> RiccatiCoeffs:
-    """Validate the coefficient constraints by sampling and derive b0, b1.
+    """The a3 of the member's lift, after that lift's constraint checks.
 
     The checks are those of :func:`liesuper.odeint.lift_sode`: positivity of
     a3 at the 65 points of a 64-panel sampling of the interval, not proven,
     and a3(0) = 1 within 1e-12.  Raises ConstraintViolation naming the
-    failing constraint and sample time.
+    failing constraint and sample time.  A caller that also integrates
+    takes ``RiccatiCoeffs(sys.coeffs["a3"])`` from its own ``lift_sode``.
     """
     coeffs = {"a0": a0, "a1": a1, "a2": a2, "a3": a3}
-    return RiccatiCoeffs(**lift_sode("riccati", coeffs, interval=interval).coeffs)
+    return RiccatiCoeffs(lift_sode("riccati", coeffs, interval=interval).coeffs["a3"])
 
 
 def transform_state(c: RiccatiCoeffs, t: float, state: State) -> State:

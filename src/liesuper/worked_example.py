@@ -87,13 +87,14 @@ def recomputed_intermediates(t: float) -> dict[str, float]:
     }
 
 
-def worked_example_report(t: float = 1.0) -> Report:
-    """Recomputed vs tabulated intermediate values, plus the degeneracy finding.
+def worked_example_report() -> Report:
+    """Recomputed vs tabulated intermediate values at t = 1, plus the degeneracy.
 
     Mismatches are WARN, not FAIL: the defining formulas are normative and
     the tabulated transcriptions are known to disagree with them (direct
     evaluation gives F431(1) = 1/3 where the table gives 1/2).
     """
+    t = 1.0
     report = Report(f"worked example (f = 0): tabulated vs recomputed values at t={t}")
     direct = recomputed_intermediates(t)
     for name, ref in TABULATED_INTERMEDIATES.items():

@@ -15,6 +15,7 @@ import time
 import pytest
 
 from liesuper.algebra import (
+    _structure_or_not_closed,
     builtin_fields,
     verify_isomorphism,
     verify_paper_table,
@@ -24,7 +25,7 @@ from liesuper import odeint
 from liesuper.coeffexpr import Const, Sqrt
 from liesuper.exactpoly import prolong, rank_at
 from liesuper.odeint import Trajectory, integrate, lift_sode, residual
-from liesuper.riccati import build_riccati, superpose_riccati, transformed_rhs_check
+from liesuper.riccati import RiccatiCoeffs, superpose_riccati, transformed_rhs_check
 from liesuper.superpose import (
     Degenerate,
     SuperposeProblem,
@@ -250,11 +251,9 @@ def test_criterion_8_general_family_round_trip():
 
 def test_criterion_9_riccati_pipeline():
     start = time.perf_counter()
-    c = build_riccati(
-        "0.1*cos(t)", "0.2", "0.1*sin(t)", "(1 + 0.1*sin(t))^2",
-        interval=(0.0, 0.8),
-    )
-    sys = c.system()
+    sys = lift_sode("riccati", {"a0": "0.1*cos(t)", "a1": "0.2", "a2": "0.1*sin(t)",
+                                "a3": "(1 + 0.1*sin(t))^2"}, interval=(0.0, 0.8))
+    c = RiccatiCoeffs(sys.coeffs["a3"])
     grid = [0.8 * i / 80 for i in range(81)]
     ics = sample_generic_ics(42, 5)
     trajs = [integrate(sys, ic, 0.0, grid, 1e-10) for ic in ics]
@@ -267,8 +266,8 @@ def test_criterion_9_riccati_pipeline():
     rhs_exact = [r.computed for r in rhs_report.records] == ["0", "0"]
 
     # a3 = 1 degeneration must match the time-independent path bit for bit
-    c1 = build_riccati("0", "0", "0", "1", interval=(0.0, 1.0))
-    sys1 = c1.system()
+    sys1 = lift_sode("riccati", {"a0": "0", "a1": "0", "a2": "0", "a3": "1"})
+    c1 = RiccatiCoeffs(sys1.coeffs["a3"])
     g1 = [i / 60 for i in range(61)]
     ics1 = sample_generic_ics(43, 5)
     trajs1 = [integrate(sys1, ic, 0.0, g1, 1e-10) for ic in ics1]
@@ -304,7 +303,7 @@ def test_criterion_10_negative_controls(monkeypatch):
          x5.components[1]],
         coords,
     )
-    mutation_detected = not verify_paper_table(fields=fields).passed
+    mutation_detected = not verify_paper_table(_structure_or_not_closed(fields)).passed
 
     # (b) dropping the a3'/(2 a3) term in b0 -> the exact identity FAILs,
     # naming its residual

@@ -47,6 +47,10 @@ CASES = [
     ("t^-2", lambda t: t**-2.0),
     ("2 ^ 3 * t", lambda t: 8.0 * t),
     ("-t + - 2", lambda t: -t - 2),
+    ("1/(1 + t)", lambda t: 1 / (1 + t)),
+    ("sin(t)/(2 + cos(t))", lambda t: math.sin(t) / (2 + math.cos(t))),
+    ("(1 + t)^0", lambda t: 1.0),
+    ("+t", lambda t: t),
 ]
 
 
@@ -431,7 +435,7 @@ class TestParser:
     @pytest.mark.parametrize(
         "text",
         ["sin(", "1 +", "t t", "foo(t)", "1..2", "()", "t ^ x", "2 ** 3",
-         "t^²", "²", "1²", "٣*t"],
+         "t^²", "²", "1²", "٣*t", "sin(t", "(t", "."],
     )
     def test_rejects_with_position(self, text):
         with pytest.raises(ParseError) as exc:

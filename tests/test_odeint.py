@@ -22,7 +22,7 @@ from liesuper.odeint import (
     residual,
     riccati_damping,
 )
-from liesuper.riccati import RiccatiCoeffs, build_riccati, transform_state
+from liesuper.riccati import RiccatiCoeffs, transform_state
 from liesuper.superpose import lambda_integrals
 from conftest import sample_generic_ics
 from reference import (dopri5_dense_reference, dopri5_reference,
@@ -81,7 +81,8 @@ class TestLift:
         # with b0 and b1 free of a3, the formula's order shows: x**2 overflows
         # before a failing a3 is read, but after a failing b0 is
         zero, bad = Const(0), parse_expr("1/(t - t)")
-        a3_fails = RiccatiCoeffs(zero, zero, zero, bad, zero, zero).system()
+        a3_fails = odeint._system("riccati", dict(a0=zero, a1=zero, a2=zero, a3=bad,
+                                                  b0=zero, b1=zero))
         with pytest.raises(OverflowError):
             a3_fails.rhs(0.5, 1e200, 0.0)
         with pytest.raises(NonFinite):
@@ -89,7 +90,8 @@ class TestLift:
         with pytest.raises(DomainError) as exc:
             a3_fails.rhs(0.5, 1.0, 0.0)
         assert exc.value.node is bad
-        b0_fails = RiccatiCoeffs(zero, zero, zero, Const(1), bad, zero).system()
+        b0_fails = odeint._system("riccati", dict(a0=zero, a1=zero, a2=zero,
+                                                  a3=Const(1), b0=bad, b1=zero))
         with pytest.raises(DomainError) as exc:
             b0_fails.rhs(0.5, 1e200, 0.0)
         assert exc.value.node is bad and exc.value.t == 0.5
@@ -288,7 +290,7 @@ class TestAgainstReference:
         assert got == _outcome(dopri5_reference, sys, (0.3, -0.2), g, 1e-6)
         assert len(got[0][1]) == 101
 
-    @pytest.mark.parametrize("stage", [3, 5])
+    @pytest.mark.parametrize("stage", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("failure", ["inf", "overflow"])
     @pytest.mark.parametrize("t0", [0.0, 0.5])
     def test_failing_stage_is_named_by_its_time(self, stage, failure, t0):
@@ -316,6 +318,62 @@ class TestAgainstReference:
         assert got == _outcome(dopri5_reference, failing, (0.3, -0.2), g, 1e-8)
         assert got[0] == ("NonFinite", threshold.hex())
         assert len(got[1]) == first + 1
+
+    @staticmethod
+    def _failing_from_call(sys, n, failure):
+        """``sys`` with an rhs that fails from its n-th call (0-based) on."""
+        calls = []
+        plain = sys.rhs
+
+        def rhs(t, x, v):
+            calls.append(t)
+            if len(calls) <= n:
+                return plain(t, x, v)
+            if failure == "overflow":
+                raise OverflowError("math range error")
+            return math.inf
+
+        return dataclasses.replace(sys, rhs=rhs)
+
+    @pytest.mark.parametrize("failure", ["inf", "overflow"])
+    def test_failing_first_call_is_named_by_t0(self, failure):
+        sys = lift_sode("general", FAMILY_COEFFS["general"][1])
+        g = grid(0.5, 1.5, 6)
+        failing = self._failing_from_call(sys, 0, failure)
+        got = _outcome(integrate, failing, (0.3, -0.2), g, 1e-8)
+        failing = self._failing_from_call(sys, 0, failure)
+        assert got == _outcome(dopri5_reference, failing, (0.3, -0.2), g, 1e-8)
+        assert got[0] == ("NonFinite", (0.5).hex())
+        assert len(got[1]) == 1
+
+    @pytest.mark.parametrize("failure", ["inf", "overflow"])
+    def test_failing_last_stage_is_named_by_its_time(self, failure):
+        # stage 6 runs at the time of stage 5 (c5 = c6 = 1), so no time
+        # threshold singles it out: it fails by its place among the calls,
+        # the last of the third step (the reference makes seven a step)
+        sys = lift_sode("general", FAMILY_COEFFS["general"][1])
+        g = grid(0.0, 1.0, 6)
+        counted, times = self._counting(sys)
+        integrate(counted, (0.3, -0.2), 0.0, g, 1e-8)
+        last = 1 + 6 * 2 + 6 - 1
+        assert times[last] == times[last - 1]
+        got = _outcome(integrate, self._failing_from_call(sys, last, failure),
+                       (0.3, -0.2), g, 1e-8)
+        assert got == _outcome(dopri5_reference,
+                               self._failing_from_call(sys, 7 * 2 + 6, failure),
+                               (0.3, -0.2), g, 1e-8)
+        assert got[0] == ("NonFinite", times[last].hex())
+        assert len(got[1]) == last + 1
+
+    def test_overflowing_position_with_finite_stages(self):
+        # with F = 0 every stage value is v or 0, all finite, but the
+        # step's position x + h v passes the largest float
+        sys = dataclasses.replace(lift_sode("mdpi"), rhs=lambda t, x, v: 0.0)
+        g = grid(0.25, 1.25, 3)
+        got = _outcome(integrate, sys, (1.79e308, 1e308), g, 1e-8)
+        assert got == _outcome(dopri5_reference, sys, (1.79e308, 1e308), g, 1e-8)
+        assert got[0] == ("NonFinite", (0.25).hex())
+        assert len(got[1]) == 7
 
     def test_rejected_steps_reuse_the_first_stage(self):
         g = [0.0, 50.0]
@@ -473,9 +531,8 @@ class TestDenseOutput:
         # sample_generic_ics seeds 0-9 drifted up to 1.3e-8, past the 1e-8
         # bound.  So superpose's dense steps are sized at tol / 100, where
         # the same runs drift at most 2.3e-10.
-        c = (build_riccati(**coeffs, interval=(0.0, 1.0))
-             if family == "riccati" else None)
-        sys = c.system() if c else lift_sode(family, coeffs)
+        sys = lift_sode(family, coeffs)
+        c = RiccatiCoeffs(sys.coeffs["a3"]) if family == "riccati" else None
         g = grid(0.0, 1.0, 1001)
         for seed in range(3):
             trajs = [_dense(sys, ic, 0.0, g, 1e-12)
@@ -518,6 +575,8 @@ class TestTrajectory:
     def test_monotone_times_required(self):
         with pytest.raises(ValueError):
             Trajectory([0.0, 0.0], [(1.0, 0.0), (1.0, 0.0)])
+        with pytest.raises(ValueError, match="equal length"):
+            Trajectory([0.0, 1.0], [(1.0, 0.0)])
 
 
 # the pieces of a trajectory CSV that its reader treats differently

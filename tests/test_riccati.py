@@ -25,6 +25,11 @@ def coeffs():
     return build_riccati(A0, A1, A2, A3, interval=WINDOW)
 
 
+def lift():
+    return lift_sode("riccati", {"a0": A0, "a1": A1, "a2": A2, "a3": A3},
+                     interval=WINDOW)
+
+
 def grid(n=81):
     t0, t1 = WINDOW
     return [t0 + (t1 - t0) * i / (n - 1) for i in range(n)]
@@ -32,10 +37,10 @@ def grid(n=81):
 
 class TestBuild:
     def test_derived_damping(self):
-        c = coeffs()
+        c = lift().coeffs
         # at t = 0: a3 = 1, a3' = 0.2, a2 = 0 -> b0 = -0.1, b1 = 3
-        assert c.b0.eval(0.0) == pytest.approx(-0.1, rel=1e-12)
-        assert c.b1.eval(0.0) == pytest.approx(3.0, rel=1e-12)
+        assert c["b0"].eval(0.0) == pytest.approx(-0.1, rel=1e-12)
+        assert c["b1"].eval(0.0) == pytest.approx(3.0, rel=1e-12)
 
     def test_constraints_enforced(self):
         with pytest.raises(ConstraintViolation):
@@ -106,8 +111,8 @@ class TestTransformedRhs:
 
 class TestSuperposeRiccati:
     def test_round_trip(self):
-        c = coeffs()
-        sys = c.system()
+        sys = lift()
+        c = RiccatiCoeffs(sys.coeffs["a3"])
         g = grid(81)
         ics = sample_generic_ics(21, 5)
         trajs = [integrate(sys, ic, 0.0, g, 1e-10) for ic in ics]
@@ -119,8 +124,8 @@ class TestSuperposeRiccati:
         assert err < 1e-6
 
     def test_a3_one_bit_matches_time_independent_path(self):
-        c = build_riccati("0", "0", "0", "1", interval=(0.0, 1.0))
-        sys = c.system()
+        sys = lift_sode("riccati", {"a0": "0", "a1": "0", "a2": "0", "a3": "1"})
+        c = RiccatiCoeffs(sys.coeffs["a3"])
         g = [i / 60 for i in range(61)]
         ics = sample_generic_ics(33, 5)
         trajs = [integrate(sys, ic, 0.0, g, 1e-10) for ic in ics]
@@ -133,8 +138,8 @@ class TestSuperposeRiccati:
         assert via_riccati.lam2 == direct.lam2
 
     def test_one_beta_per_grid_time_same_bits(self, monkeypatch):
-        c = coeffs()
-        sys = c.system()
+        sys = lift()
+        c = RiccatiCoeffs(sys.coeffs["a3"])
         g = grid(41)
         ics = sample_generic_ics(21, 5)
         trajs = [integrate(sys, ic, 0.0, g, 1e-10) for ic in ics]

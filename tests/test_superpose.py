@@ -223,6 +223,8 @@ class TestReconstruct:
             SuperposeProblem(
                 trajs[:4], constants=(0.1, 0.2), target=(0.0, 0.0)
             )
+        with pytest.raises(ValueError, match="exactly four"):
+            SuperposeProblem(trajs[:3], constants=(0.1, 0.2))
 
     def test_mismatched_grids_rejected(self):
         sys = lift_sode("mdpi")

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from liesuper import superpose
 from liesuper.cli import main
 from liesuper.odeint import Trajectory, integrate, lift_sode
-from liesuper.riccati import build_riccati, superpose_riccati
+from liesuper.riccati import RiccatiCoeffs, build_riccati, superpose_riccati
 from liesuper.superpose import (
     Degenerate,
     SuperposeProblem,
@@ -31,8 +31,9 @@ from reference import reconstruct_reference, superpose_riccati_reference
 coord = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 constant = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 EPS_CHOICES = (1e-10, 1e-6, 0.0, 0.5)
-RICCATI = build_riccati("0.1*cos(t)", "0.2", "0.1*sin(t)", "(1 + 0.1*sin(t))^2",
-                        interval=(0.0, 0.8))
+RICCATI_SYS = lift_sode("riccati", {"a0": "0.1*cos(t)", "a1": "0.2", "a2": "0.1*sin(t)",
+                                    "a3": "(1 + 0.1*sin(t))^2"}, interval=(0.0, 0.8))
+RICCATI = RiccatiCoeffs(RICCATI_SYS.coeffs["a3"])
 
 
 def bits(x):
@@ -140,10 +141,10 @@ class TestBasisMatchesPerPointRule:
             assert got == outcome(lambda: reconstruct_reference(problem))
 
 
-def family(n=101, seed=21, c=None):
-    sys = c.system() if c is not None else lift_sode(
+def family(n=101, seed=21, riccati=False):
+    sys = RICCATI_SYS if riccati else lift_sode(
         "general", {"f": "sin(t)", "g": "cos(t)", "h": "0.1"})
-    t1 = 0.8 if c is not None else 1.0
+    t1 = 0.8 if riccati else 1.0
     g = [t1 * i / (n - 1) for i in range(n)]
     return [integrate(sys, ic, 0.0, g, 1e-10) for ic in sample_generic_ics(seed)]
 
@@ -179,7 +180,7 @@ class TestMemo:
         assert [outcome(lambda: r) for r in got] == [outcome(lambda: r) for r in want]
 
     def test_sixteen_riccati_calls_build_once(self, builds):
-        trajs = family(c=RICCATI)
+        trajs = family(riccati=True)
         got = calls16(lambda **kw: superpose_riccati(RICCATI, trajs, **kw))
         assert builds == [101]
         want = calls16(lambda **kw: superpose_riccati_reference(RICCATI, trajs, **kw))
@@ -268,7 +269,7 @@ class TestMemo:
                              constants=(0.4, -0.3))
 
     def test_other_riccati_coefficients_rebuild(self, builds):
-        trajs = family(n=41, c=RICCATI)
+        trajs = family(n=41, riccati=True)
         other = build_riccati("0.1*cos(t)", "0.2", "0.1*sin(t)", "1 + 0.3*t^2",
                               interval=(0.0, 0.8))
         first = outcome(lambda: superpose_riccati(RICCATI, trajs, constants=(0.3, 0.6)))
