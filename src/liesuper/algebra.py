@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import add, sub
 from typing import Sequence
 
 from .exactpoly import (
@@ -99,7 +99,7 @@ class Matrix3:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Sequence[Sequence[int | Fraction]]):
-        rows = tuple(tuple(_scalar(x) for x in r) for r in rows)
+        rows = tuple(tuple(map(_scalar, r)) for r in rows)
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("Matrix3 needs a 3x3 array of rationals")
         object.__setattr__(self, "rows", rows)
@@ -146,10 +146,16 @@ class Matrix3:
 
 
 def matrix_bracket(A: Matrix3, B: Matrix3) -> Matrix3:
-    """Commutator AB - BA, exact, as one Matrix3 of row-by-column sums."""
-    a, b = A.rows, B.rows
-    return Matrix3([[sum(map(mul, ra, cb)) - sum(map(mul, rb, ca))
-                     for cb, ca in zip(zip(*b), zip(*a))] for ra, rb in zip(a, b)])
+    """Commutator AB - BA, exact; only pairs of nonzero entries are multiplied."""
+    out = [[0] * 3 for _ in range(3)]
+    for P, Q, op in ((A.rows, B.rows, add), (B.rows, A.rows, sub)):
+        for prow, orow in zip(P, out):
+            for x, qrow in zip(prow, Q):
+                if x:
+                    for j, y in enumerate(qrow):
+                        if y:
+                            orow[j] = op(orow[j], x * y)
+    return Matrix3(out)
 
 
 def sl3_matrices() -> list[Matrix3]:
@@ -343,8 +349,9 @@ def _coeff_str(coeffs: Sequence[Fraction]) -> str:
 
 def _add_coeffs(report: Report, name: str, expected, computed) -> None:
     """Record coefficients against the expected ones; None is outside span."""
-    report.add(name, _coeff_str(expected), "outside span" if computed is None
-               else _coeff_str(computed), computed == expected)
+    text, ok = _coeff_str(expected), computed == expected
+    report.add(name, text, text if ok else "outside span" if computed is None
+               else _coeff_str(computed), ok)
 
 
 def _sl3_table() -> StructureTable | NotClosed:
@@ -383,7 +390,7 @@ def verify_isomorphism(table: StructureTable | NotClosed | None = None) -> Repor
     report = Report("matrix realisation of the {X1..X8} bracket table")
 
     for i, M in enumerate(mats):
-        report.add(f"trace(M{i+1})", 0, M.trace(), M.trace() == 0)
+        report.add(f"trace(M{i+1})", 0, tr := M.trace(), tr == 0)
 
     # one elimination of M1..M8 gives their rank and every bracket's coefficients
     span = Elimination([dict(enumerate(M.flat())) for M in mats])
@@ -394,13 +401,10 @@ def verify_isomorphism(table: StructureTable | NotClosed | None = None) -> Repor
         _add_not_closed(report, table)
         return report
 
-    n = len(mats)
-    for a in range(n):
-        for b in range(a + 1, n):
-            mb = matrix_bracket(mats[a], mats[b])
-            _add_coeffs(report, f"[M{a+1},M{b+1}] vs [X{a+1},X{b+1}]",
-                        table[(a + 1, b + 1)],
-                        span.solve(dict(enumerate(mb.flat()))))
+    for (a, b), coeffs in table.items():  # 1-based pairs a < b, in order
+        mb = matrix_bracket(mats[a - 1], mats[b - 1])
+        _add_coeffs(report, f"[M{a},M{b}] vs [X{a},X{b}]", coeffs,
+                    span.solve(dict(enumerate(mb.flat()))))
     return report
 
 

@@ -193,7 +193,8 @@ class Polynomial:
             shift = tuple(map(sub, top, lead))
             if any(k < 0 for k in shift):
                 return None
-            c = quot[shift] = _scalar(Fraction(rem.pop(top)) / lead_c)
+            r = rem.pop(top)  # an int stays an int where lead_c divides it
+            c = quot[shift] = Fraction(r, lead_c) if r % lead_c else r // lead_c
             for e, dc in tail:
                 key = tuple(map(add, shift, e))
                 s = rem[key] = rem.get(key, 0) - c * dc
@@ -482,11 +483,11 @@ class Elimination:
     iff it is independent of the vectors before it.  Each row carries its
     integer combination a of the cleared basis rows through the same steps,
     so that it always equals sum_j a_j L_j b_j; a basis row starts as its
-    own unit combination.  A target t starts with no combination and leaves
-    as p L t + sum_j a_j L_j b_j, p the last pivot, which gives its
-    coefficients when no residual is left.  Every entry of a row and its
-    combination is a minor of ``[L B | I]`` (the target appended as a row),
-    so every Bareiss division is exact.
+    own unit combination.  Entries of basis rows and their combinations are
+    minors of ``[L B | I]``, so every Bareiss division is exact.  A target t
+    meets only the pivots whose column it holds, by division-free steps (a
+    later pivot row is zero in each earlier pivot's column), and ends as
+    p L t + sum_j a_j L_j b_j, p their product: if zero, the a_j solve for t.
     """
 
     __slots__ = ("rank", "_rows", "_scales", "_pivots")
@@ -530,7 +531,12 @@ class Elimination:
         exactly before they are returned.
         """
         scale, target_row = _cleared(target)
-        row, combo, last = self._reduce(target_row, {})
+        row, combo, last = target_row, {}, 1
+        for col, prow, piv, pcombo in self._pivots:
+            if f := row.get(col):
+                row = _bareiss(row, prow, piv, f, 1)
+                combo = _bareiss(combo, pcombo, piv, f, 1)
+                last *= piv
         if row:
             return None
         # last * L t + sum_j a_j L_j b_j == 0

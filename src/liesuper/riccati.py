@@ -103,6 +103,10 @@ class _Coeff(StateVar):
         return _Coeff(self.name + "'")
 
 
+def _mul(p: Polynomial, q: Polynomial) -> Polynomial:  # no product by the unit _ONE
+    return q if p is _ONE else p if q is _ONE else p * q
+
+
 def _quotient(e: CoeffExpr, leaves: dict) -> tuple[Polynomial, Polynomial]:
     """(N, D) with e = N/D; a leaf, or sqrt(a3), is ``leaves`` or a coordinate."""
     if isinstance(e, (StateVar, Sqrt)):
@@ -113,15 +117,16 @@ def _quotient(e: CoeffExpr, leaves: dict) -> tuple[Polynomial, Polynomial]:
         return _quotient(Const(-1) * e.arg, leaves)
     if isinstance(e, Pow):
         n, d = _quotient(e.base, leaves)
-        return n ** e.exponent, d ** e.exponent
+        return n ** e.exponent, d if d is _ONE else d ** e.exponent
     (n1, d1), (n2, d2) = _quotient(e.left, leaves), _quotient(e.right, leaves)
     if e.symbol == "*":
-        return n1 * n2, d1 * d2
+        return _mul(n1, n2), _mul(d1, d2)
     if e.symbol == "/":
         if n2.is_zero:
             raise ZeroDivisionError(f"division by zero in {e}")
-        return n1 * d2, d1 * n2
-    return (n1 * d2 + n2 * d1 if e.symbol == "+" else n1 * d2 - n2 * d1), d1 * d2
+        return _mul(n1, d2), _mul(d1, n2)
+    n1, n2 = _mul(n1, d2), _mul(n2, d1)
+    return (n1 + n2 if e.symbol == "+" else n1 - n2), _mul(d1, d2)
 
 
 def transformed_rhs_check() -> Report:

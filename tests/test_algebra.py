@@ -141,3 +141,27 @@ class TestAgainstReferenceEliminations:
         monkeypatch.setattr(algebra, "Elimination", reference.ReferenceElimination)
         assert run("reference") == fast
         assert set(fast[2]) == {"verify_report.json", "verify_report.txt"}
+
+    @pytest.mark.parametrize("flags", [
+        [], ["--all-fields"], ["--mutate-x5"], ["--all-fields", "--mutate-x5"],
+    ])
+    def test_every_solve_matches_the_reference(self, capsys, monkeypatch, flags):
+        """Each (basis, target) verify solves gets the old eliminations' answer."""
+        calls = []
+
+        class Recording(exactpoly.Elimination):
+            def __init__(self, basis):
+                super().__init__(basis)
+                self.basis = basis
+
+            def solve(self, target):
+                calls.append((self.basis, target, super().solve(target)))
+                return calls[-1][2]
+
+        monkeypatch.setattr(exactpoly, "Elimination", Recording)
+        monkeypatch.setattr(algebra, "Elimination", Recording)
+        main(["verify", *flags])
+        capsys.readouterr()
+        assert {coeffs is None for _, _, coeffs in calls} == {True, False}
+        for basis, target, coeffs in calls:
+            assert coeffs == reference.ReferenceElimination(basis).solve(target)

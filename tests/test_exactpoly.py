@@ -286,6 +286,23 @@ class TestElimination:
             assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
                        for c in coeffs)
 
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_targets_holding_only_later_pivot_columns(self, data):
+        # b_i holds slot i first and only slots after it, so pivot i has
+        # column i, and a combination of b_m.. holds no earlier pivot's column
+        n = data.draw(st.integers(min_value=2, max_value=5))
+        basis = [{i: data.draw(rationals.filter(bool)),
+                  **data.draw(st.dictionaries(st.integers(i + 1, 8), rationals,
+                                              max_size=3))} for i in range(n)]
+        m = data.draw(st.integers(min_value=1, max_value=n - 1))
+        target = _combine([0] * m + [data.draw(rationals) for _ in basis[m:]], basis)
+        if data.draw(st.booleans()):  # one more entry, which may leave the span
+            target[data.draw(st.integers(m, 11))] = data.draw(rationals)
+        assert not any(target.get(s) for s in range(m))
+        expected = reference.ReferenceElimination(basis).solve(target)
+        assert Elimination(basis).solve(target) == expected
+
     @settings(max_examples=40)
     @given(st.data())
     def test_in_span_matches_reference_on_fields(self, data):

@@ -25,21 +25,20 @@ from reference import FractionPolynomial
 
 COORDS = ("x", "v")
 
+# every p/q in [-5, 5] with q <= 7, as test_exactpoly's rationals
+fractions = st.builds(lambda m, q: Fraction(m * q // 7, q),
+                      st.integers(-35, 35), st.integers(1, 7))
 # integers, non-integral and integral Fractions, and bools, which are ints too
 coefficients = st.one_of(
     st.integers(min_value=-6, max_value=6),
-    # every p/q in [-5, 5] with q <= 7, as test_exactpoly's rationals
-    st.builds(lambda m, q: Fraction(m * q // 7, q),
-              st.integers(-35, 35), st.integers(1, 7)),
+    fractions,
     st.integers(min_value=-6, max_value=6).map(Fraction),
     st.booleans(),
 )
-term_maps = st.dictionaries(
-    st.tuples(st.integers(min_value=0, max_value=3),
-              st.integers(min_value=0, max_value=3)),
-    coefficients,
-    max_size=5,
-)
+exponents = st.tuples(st.integers(min_value=0, max_value=3),
+                      st.integers(min_value=0, max_value=3))
+term_maps = st.dictionaries(exponents, coefficients, max_size=5)
+int_term_maps = st.dictionaries(exponents, st.integers(-6, 6), max_size=5)
 
 
 # term maps on the 10 coordinates (x0..x4, v0..v4) of the 5-copy space
@@ -51,6 +50,9 @@ prolonged_term_maps = st.dictionaries(
 )
 matrices = st.lists(coefficients, min_size=9, max_size=9).map(
     lambda xs: Matrix3([xs[0:3], xs[3:6], xs[6:9]]))
+# mostly zeros with a few Fractions, as M4 = diag(1/3, -2/3, 1/3) among M1..M8
+sparse_matrices = st.dictionaries(st.integers(0, 8), fractions, max_size=3).map(
+    lambda d: Matrix3([[d.get(3 * i + j, 0) for j in range(3)] for i in range(3)]))
 
 
 def _ref(p: Polynomial) -> FractionPolynomial:
@@ -85,12 +87,20 @@ def test_scale_matches_the_reference(a, c):
     assert_matches(p * c, FractionPolynomial(COORDS, a).scale(c))
 
 
-@given(term_maps, term_maps, term_maps)
-def test_exact_div_matches_the_reference(a, b, r):
+@given(term_maps, term_maps, term_maps, int_term_maps, int_term_maps,
+       st.integers(2, 5))
+def test_exact_div_matches_the_reference(a, b, r, ia, ib, k):
     p, d, rem = (Polynomial(COORDS, m) for m in (a, b, r))
     assume(not d.is_zero)
-    for n in (p * d, p * d + rem):
-        got, want = n.exact_div(d), _ref(n).exact_div(_ref(d))
+    cases = [(p * d, d), (p * d + rem, d)]
+    # int terms over an int leading coefficient k times theirs: the quotient
+    # ip / k is a Fraction wherever k does not divide a coefficient of ip
+    ip, id_ = Polynomial(COORDS, ia), Polynomial(COORDS, ib)
+    if not id_.is_zero:
+        cases += [(ip * id_, id_.scale(k)), (ip * id_ + rem, id_.scale(k))]
+        assert (ip * id_).exact_div(id_.scale(k)) == ip.scale(Fraction(1, k))
+    for n, div in cases:
+        got, want = n.exact_div(div), _ref(n).exact_div(_ref(div))
         assert (got is None) == (want is None)
         if got is not None:
             assert_matches(got, want)
@@ -119,7 +129,7 @@ def test_one_pass_apply_matches_the_reference_on_prolonged_fields(i, c, p):
         assert_matches(hat.apply(f), reference.apply_reference(ref, _ref(f)))
 
 
-@given(matrices, matrices)
+@given(st.one_of(matrices, sparse_matrices), st.one_of(matrices, sparse_matrices))
 def test_matrix_bracket_is_the_commutator(A, B):
     C = matrix_bracket(A, B)
     assert C == A @ B - B @ A
