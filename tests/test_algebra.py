@@ -155,8 +155,9 @@ class TestAgainstReferenceEliminations:
                 self.basis = basis
 
             def solve(self, target):
-                calls.append((self.basis, target, super().solve(target)))
-                return calls[-1][2]
+                coeffs = super().solve(target)
+                calls.append((self.basis, target, coeffs))
+                return coeffs
 
         monkeypatch.setattr(exactpoly, "Elimination", Recording)
         monkeypatch.setattr(algebra, "Elimination", Recording)

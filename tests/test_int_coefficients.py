@@ -26,12 +26,12 @@ from reference import FractionPolynomial
 COORDS = ("x", "v")
 
 # every p/q in [-5, 5] with q <= 7, as test_exactpoly's rationals
-fractions = st.builds(lambda m, q: Fraction(m * q // 7, q),
+rationals = st.builds(lambda m, q: Fraction(m * q // 7, q),
                       st.integers(-35, 35), st.integers(1, 7))
 # integers, non-integral and integral Fractions, and bools, which are ints too
 coefficients = st.one_of(
     st.integers(min_value=-6, max_value=6),
-    fractions,
+    rationals,
     st.integers(min_value=-6, max_value=6).map(Fraction),
     st.booleans(),
 )
@@ -51,7 +51,7 @@ prolonged_term_maps = st.dictionaries(
 matrices = st.lists(coefficients, min_size=9, max_size=9).map(
     lambda xs: Matrix3([xs[0:3], xs[3:6], xs[6:9]]))
 # mostly zeros with a few Fractions, as M4 = diag(1/3, -2/3, 1/3) among M1..M8
-sparse_matrices = st.dictionaries(st.integers(0, 8), fractions, max_size=3).map(
+sparse_matrices = st.dictionaries(st.integers(0, 8), rationals, max_size=3).map(
     lambda d: Matrix3([[d.get(3 * i + j, 0) for j in range(3)] for i in range(3)]))
 
 
@@ -93,8 +93,8 @@ def test_exact_div_matches_the_reference(a, b, r, ia, ib, k):
     p, d, rem = (Polynomial(COORDS, m) for m in (a, b, r))
     assume(not d.is_zero)
     cases = [(p * d, d), (p * d + rem, d)]
-    # int terms over an int leading coefficient k times theirs: the quotient
-    # ip / k is a Fraction wherever k does not divide a coefficient of ip
+    # int terms over an int divisor scaled by k: the quotient ip / k is a
+    # Fraction wherever k does not divide a coefficient of ip
     ip, id_ = Polynomial(COORDS, ia), Polynomial(COORDS, ib)
     if not id_.is_zero:
         cases += [(ip * id_, id_.scale(k)), (ip * id_ + rem, id_.scale(k))]
