@@ -44,6 +44,12 @@ def _scalar(c: Scalar) -> Scalar:
     return c.numerator if c.denominator == 1 else c
 
 
+def _quotient(n: Scalar, d: Scalar) -> Scalar:
+    """n / d in canonical form: the int quotient when d divides n."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
+
+
 def _immutable(self, name, value=None):  # __setattr__ and __delattr__
     raise AttributeError(f"{type(self).__name__} is immutable")
 
@@ -193,8 +199,7 @@ class Polynomial:
             shift = tuple(map(sub, top, lead))
             if any(k < 0 for k in shift):
                 return None
-            r = rem.pop(top)  # an int stays an int where lead_c divides it
-            c = quot[shift] = Fraction(r, lead_c) if r % lead_c else r // lead_c
+            c = quot[shift] = _quotient(rem.pop(top), lead_c)
             for e, dc in tail:
                 key = tuple(map(add, shift, e))
                 s = rem[key] = rem.get(key, 0) - c * dc
@@ -418,6 +423,17 @@ def prolonged_coords(coords: Sequence[str], copies: int) -> tuple[str, ...]:
     return tuple(f"{c}{a}" for c in coords for a in range(copies))
 
 
+def relabel(p: Polynomial, coords: tuple[str, ...], where: Sequence[int]) -> Polynomial:
+    """p on ``coords``, exponent k of each term moved to position where[k]."""
+    terms = {}
+    for exps, c in p.terms.items():
+        new_exps = [0] * len(coords)
+        for k, e in zip(where, exps):
+            new_exps[k] = e
+        terms[tuple(new_exps)] = c
+    return Polynomial._make(coords, terms)
+
+
 def prolong(X: VectorField, copies: int) -> VectorField:
     """Diagonal prolongation of X to ``copies`` labelled copies of its space.
 
@@ -425,19 +441,9 @@ def prolong(X: VectorField, copies: int) -> VectorField:
     space, with every base coordinate ``c`` renamed to ``c{a}``.
     """
     new_coords = prolonged_coords(X.coords, copies)
-    width = len(new_coords)
-
-    def translate(p: Polynomial, a: int) -> Polynomial:
-        terms = {}
-        for exps, c in p.terms.items():
-            new_exps = [0] * width
-            for j, k in enumerate(exps):
-                new_exps[j * copies + a] = k
-            terms[tuple(new_exps)] = c
-        return Polynomial._make(new_coords, terms)
-
     # component j * copies + a is base component j on copy a
-    components = [translate(comp, a) for comp in X.components for a in range(copies)]
+    components = [relabel(comp, new_coords, range(a, len(new_coords), copies))
+                  for comp in X.components for a in range(copies)]
     return VectorField(components, new_coords)
 
 
@@ -501,7 +507,7 @@ class Elimination:
             scale, row = _cleared(v)
             self._scales.append(scale)
             self._rows.append(row)
-            row, combo, _ = self._reduce(row, {i: 1})
+            row, combo = self._reduce(row, {i: 1})
             if row:
                 col = next(iter(row))
                 self._pivots.append((col, row, row[col], combo))
@@ -510,8 +516,7 @@ class Elimination:
     def _reduce(self, row: dict, combo: dict):
         """Run the Bareiss steps on one integer row and its combination.
 
-        Returns both, and the last pivot (1 when there is none).  A row
-        reduces to nothing iff it lies in the span of the pivot rows.
+        A row reduces to nothing iff it lies in the span of the pivot rows.
         """
         prev = 1
         for col, prow, piv, pcombo in self._pivots:
@@ -520,7 +525,7 @@ class Elimination:
                 row = _bareiss(row, prow, piv, f, prev)
                 combo = _bareiss(combo, pcombo, piv, f, prev)
             prev = piv
-        return row, combo, prev
+        return row, combo
 
     def solve(self, target: dict) -> list[Scalar] | None:
         """Exact coefficients c with sum c_i basis_i == target, or None.
@@ -549,7 +554,7 @@ class Elimination:
         }:
             return None
         den = -scale * last
-        return [_scalar(Fraction(a * s, den)) if (a := combo.get(j)) else 0
+        return [_quotient(a * s, den) if (a := combo.get(j)) else 0
                 for j, s in enumerate(self._scales)]
 
 

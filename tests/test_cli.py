@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from liesuper import algebra, cli, odeint
+from liesuper import algebra, cli, exactpoly, odeint, superpose
 from liesuper.cli import main
 
 
@@ -82,6 +82,33 @@ class TestVerify:
                 suite, = (s for s in suites if s.startswith(title))
                 assert ("[FAIL] [X1,X4]: expected closed bracket, got outside span"
                         in suite)
+
+    @pytest.mark.parametrize("flags, derivations, prolongations", [
+        ([], 0, 0), (["--all-fields"], 0, 0), (["--mutate-x5"], 0, 0),
+        (["--all-fields", "--mutate-x5"], 2, 1),
+    ])
+    def test_lambda_fallback_work(self, capsys, monkeypatch, flags, derivations,
+                                  prolongations):
+        # cofactors come from three copies; only a field whose cofactors do
+        # not cancel (the mutated X5) is prolonged to five, once, and its two
+        # records run derive_along
+        derived, five_copies = [], []
+        derive_along, init = superpose.derive_along, exactpoly.VectorField.__init__
+
+        def counting_derive(hat, lam):
+            derived.append(lam)
+            return derive_along(hat, lam)
+
+        def counting_init(self, components, coords):
+            if len(coords) == 10:
+                five_copies.append(coords)
+            init(self, components, coords)
+
+        monkeypatch.setattr(superpose, "derive_along", counting_derive)
+        monkeypatch.setattr(exactpoly.VectorField, "__init__", counting_init)
+        main(["verify", *flags])
+        capsys.readouterr()
+        assert (len(derived), len(five_copies)) == (derivations, prolongations)
 
     def test_mutated_x5_fails_with_named_pair(self, capsys):
         code = main(["verify", "--mutate-x5"])

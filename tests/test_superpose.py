@@ -10,7 +10,7 @@ from liesuper import superpose
 from liesuper.algebra import builtin_fields
 from liesuper.cli import _mutated_sl3_fields
 from liesuper.coeffexpr import StateVar, _Source
-from liesuper.exactpoly import Polynomial, derive_along, prolong, prolonged_coords
+from liesuper.exactpoly import Polynomial, VectorField, derive_along, prolong, prolonged_coords
 from liesuper.odeint import Trajectory, integrate, lift_sode
 from liesuper.superpose import (
     LAMBDA_SLOTS,
@@ -344,6 +344,29 @@ class TestBasisKernel:
         assert self._source(hold=False) == self._source(hold=True)
 
 
+def direct_cofactors(X):
+    """The oracle: each F_abc divided on all five copies, None where inexact."""
+    hat = prolong(X, 5)
+    return {abc: hat.apply(f).exact_div(f) for abc, f in _lambda_f_polynomials().items()}
+
+
+@st.composite
+def small_fields(draw):
+    """Fields on (x, v): a rational combination of X1..X8 (every cofactor
+    exists), plus, half the time, a few random terms of degree <= 3."""
+    coeff = st.fractions(-3, 3, max_denominator=4)
+    sl3 = builtin_fields("sl3-family")
+    comps = [Polynomial.zero(("x", "v"))] * 2
+    for X in draw(st.lists(st.sampled_from(sl3), max_size=3)):
+        c = draw(coeff)
+        comps = [a + b * c for a, b in zip(comps, X.components)]
+    if draw(st.booleans()):
+        exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
+        comps = [a + Polynomial(("x", "v"), draw(st.dictionaries(exps, coeff, max_size=3)))
+                 for a in comps]
+    return VectorField(comps, ("x", "v"))
+
+
 class TestLambdaAnnihilation:
     def test_generators_annihilate_exactly(self):
         report = verify_lambda_annihilation()
@@ -365,13 +388,25 @@ class TestLambdaAnnihilation:
         assert dict(_lambda_f_polynomials()) == _lambda_f(slots)
 
     def test_cofactor_verdict_matches_quotient_rule(self):
-        F = _lambda_f_polynomials()
         lams = lambda_rational_functions()
-        for X in builtin_fields("sl3-family")[:2]:
+        for X in builtin_fields("sl3-family"):
             hat = prolong(X, 5)
-            mu = _cofactors(hat, F)
+            mu = _cofactors(X)
             for slots, lam in zip(LAMBDA_SLOTS, lams):
                 assert _cofactors_cancel(mu, slots) == derive_along(hat, lam).num.is_zero
+
+    @pytest.mark.parametrize("X", [
+        *builtin_fields("sl3-family"),
+        *builtin_fields("riccati-scheme"),
+        _mutated_sl3_fields()[4],
+    ])
+    def test_renamed_cofactors_match_the_direct_division(self, X):
+        assert _cofactors(X) == direct_cofactors(X)
+
+    @settings(max_examples=60, deadline=None)
+    @given(X=small_fields())
+    def test_renamed_cofactors_match_the_direct_division_on_random_fields(self, X):
+        assert _cofactors(X) == direct_cofactors(X)
 
     def test_float_integrals_match_exact_rational_functions(self, rng):
         # the numerical rule and the annihilation proof read the same f_abc
