@@ -399,7 +399,7 @@ class TestLambdaAnnihilation:
         *builtin_fields("sl3-family"),
         *builtin_fields("riccati-scheme"),
         _mutated_sl3_fields()[4],
-    ])
+    ], ids=[*(f"X{i}" for i in range(1, 9)), *(f"Y{i}" for i in range(1, 9)), "X5-mutated"])
     def test_renamed_cofactors_match_the_direct_division(self, X):
         assert _cofactors(X) == direct_cofactors(X)
 
