@@ -35,6 +35,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from .algebra import (
     Report,
@@ -451,6 +452,11 @@ def cmd_superpose(args) -> int:
             fit_time=fit_time, eps_gen=eps_gen,
         )
         result = reconstruct(problem)
+    states = result.trajectory.states  # refused before any output if not finite
+    finite = list(map(math.isfinite, chain.from_iterable(states)))  # C-level
+    if not all(finite):
+        i, j = divmod(finite.index(False), 2)
+        raise Degenerate(f"reconstructed {'xv'[j]}0", states[i][j], grid[i])
 
     output = cfg.get("output")
     if output:

@@ -29,7 +29,7 @@ trajectory (however it was produced) actually satisfies its equation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Sequence
 
 from .coeffexpr import CoeffExpr, Const, Neg, Sqrt, StateVar, parse_expr
@@ -201,7 +201,10 @@ def lift_sode(family: str, coeffs: dict | None = None,
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A solution sampled on a strictly increasing time grid; frozen."""
+    """A solution sampled on a strictly increasing time grid; frozen.  With
+    ``_checked=True`` it skips the walk over the times; only ``integrate`` (on
+    the tuple grid it checked) and ``superpose._reconstruct`` (on a list copy of
+    a tuple grid a constructor checked) pass it: a checked tuple cannot change."""
 
     times: Sequence[float]
     states: Sequence[tuple[float, float]]
@@ -209,11 +212,12 @@ class Trajectory:
     steps: int = 0  # attempted steps
     rejected: int = 0  # of which rejected
     rhs_calls: int = 0  # right-hand-side evaluations
+    _checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _checked):
         if len(self.times) != len(self.states):
             raise ValueError("times and states must have equal length")
-        for a, b in zip(self.times, self.times[1:]):
+        for a, b in () if _checked else zip(self.times, self.times[1:]):
             if not b > a:
                 raise ValueError("times must be strictly increasing")
 
@@ -484,7 +488,7 @@ def integrate(
 
     # FSAL: six calls an attempted step, and the first stage
     return Trajectory(grid, tuple(out_states), tol=tol, steps=steps,
-                      rejected=rejected, rhs_calls=6 * steps + 1)
+                      rejected=rejected, rhs_calls=6 * steps + 1, _checked=True)
 
 
 def residual(sys: FirstOrderSystem, traj: Trajectory) -> float:
@@ -504,6 +508,8 @@ def residual(sys: FirstOrderSystem, traj: Trajectory) -> float:
         if abs((b - a) - h) > bound:
             raise GridTooCoarse("residual oracle requires a uniform grid")
     rhs, h12, hh12 = sys.rhs, 12 * h, 12 * h * h
+    if not 2.0 ** -1022 <= hh12 < math.inf:  # the smallest normal float
+        raise GridTooCoarse(f"12*h*h = {hh12:.3e} is not a positive normal float")
     worst = 0.0
     # (a, b, c, d, e) is the stencil x[i-2 .. i+2] around t = times[i]
     for t, a, b, c, d, e in zip(times[2:], xs, xs[1:], xs[2:], xs[3:], xs[4:]):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import repeat
 from operator import is_
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -177,7 +178,7 @@ def _basis_kernel():
     exec(_code(
         "def kernel(slot_rows):\n    x_rows, v_rows = [], []\n"
         "    for (x1, u1), (x2, u2), (x3, u3), (x4, u4) in slot_rows:\n"
-        f"{body}        x_rows.append(({', '.join(xr)}, max(1.0, {scale})))\n"
+        f"{body}        x_rows.append((0 + {', '.join(xr)}, max(1.0, {scale})))\n"
         f"        v_rows.append(({', '.join(vr)}))\n    return x_rows, v_rows\n"),
         namespace := {})
     return namespace["kernel"]
@@ -205,9 +206,8 @@ class SuperpositionBasis:
         for (F431, D1, D2, F421, G3124, G2134, x2F431, x3F421,
              scale) in self._x_rows:
             num = x2F431 - G3124 * lam2 - G2134 * lam1 + x3F421 * lam1 * lam2
-            # sum() of the four terms, from its integer 0: a -0.0 first term
-            # gives 0.0, and Fractions stay Fractions
-            den = 0 + F431 + D1 * lam1 + D2 * lam2 + lam12 * F421
+            # sum() of the four terms, from the integer 0 in the row's 0 + F431
+            den = F431 + D1 * lam1 + D2 * lam2 + lam12 * F421
             a = abs(den)
             if not a > bound * scale and a <= eps_gen * max(1.0, max(map(
                     abs, (F431, D1 * lam1, D2 * lam2, lam12 * F421)))):
@@ -218,12 +218,12 @@ class SuperpositionBasis:
             append(num / den)
         return xs, min_den, None
 
-    def velocities(self, xs, lam1, eps_gen) -> list[float]:
-        """v0 from inverting Lambda1 at the positions ``xs`` (leading times)."""
-        vs = []
-        append = vs.append
+    def velocities(self, xs, lam1, eps_gen, betas=None) -> list[State]:
+        """(x0, v0) at the positions ``xs``: v0 inverts Lambda1, times ``betas``."""
+        states = []
+        append = states.append
         for x0, (x1, v1, x2, v2, x3, v3, d21, d13, F431, F421, d21F431,
-                 d13F421) in zip(xs, self._v_rows):
+                 d13F421), b in zip(xs, self._v_rows, betas or repeat(None)):
             num = (
                 v1 * (x2 - x0) + v2 * (x0 - x1) + (x1 - x0) * (x0 - x2) * d21
             ) * F431 + (
@@ -232,18 +232,18 @@ class SuperpositionBasis:
             den = d21F431 + d13F421 * lam1
             a = abs(num)
             if abs(den) <= eps_gen * (a if a > 1.0 else 1.0):  # max(1.0, |num|)
-                raise Degenerate("v0-denominator", den, self.times[len(vs)])
-            append(num / den)
-        return vs
+                raise Degenerate("v0-denominator", den, self.times[len(states)])
+            append((x0, num / den if b is None else num / den * b))
+        return states
 
-    def evaluate(self, lam1, lam2, eps_gen) -> tuple[list[State], float]:
+    def evaluate(self, lam1, lam2, eps_gen, betas=None) -> tuple[list[State], float]:
         """The (x0, v0) row and min |denominator|; Degenerate at the first
         tripped guard, the position guard first at equal times."""
         xs, min_den, failure = self.positions(lam1, lam2, eps_gen)
-        vs = self.velocities(xs, lam1, eps_gen)
+        states = self.velocities(xs, lam1, eps_gen, betas)
         if failure is not None:
             raise failure
-        return list(zip(xs, vs)), min_den
+        return states, min_den
 
 
 def recover_v0(s: Sequence[State], x0: float, lam1: float,
@@ -253,7 +253,7 @@ def recover_v0(s: Sequence[State], x0: float, lam1: float,
     ``s`` holds the four particular slot states (1..4); ``x0`` is the
     position of slot 0.
     """
-    return SuperpositionBasis([t], [s]).velocities([x0], lam1, eps_gen)[0]
+    return SuperpositionBasis([t], [s]).velocities([x0], lam1, eps_gen)[0][1]
 
 
 def superpose_value(s: Sequence[State], lam1: float, lam2: float,
@@ -375,10 +375,8 @@ def _reconstruct(problem: SuperposeProblem, c) -> ReconstructionResult:
             slots = [(x, v / b) for x, v in slots]
         lam1, lam2 = fit_constants(target, slots, eps_gen=problem.eps_gen,
                                    t=grid[i_fit])
-    states, min_den = basis.evaluate(lam1, lam2, problem.eps_gen)
-    if betas is not None:
-        states = [(x, v * b) for (x, v), b in zip(states, betas)]
-    traj = Trajectory(list(grid), states, tol=trajs[0].tol)
+    states, min_den = basis.evaluate(lam1, lam2, problem.eps_gen, betas)
+    traj = Trajectory(list(grid), states, tol=trajs[0].tol, _checked=type(grid) is tuple)
     return ReconstructionResult(traj, lam1, lam2, min_den)
 
 

@@ -543,14 +543,15 @@ def _velocity(s, F431, F421, x0, lam1, eps_gen, t):
 
 
 def basis_rows_reference(slot_rows):
-    """The ``_x_rows`` and ``_v_rows`` of ``SuperpositionBasis(times, slot_rows)``."""
+    """The ``_x_rows`` and ``_v_rows`` of ``SuperpositionBasis(times, slot_rows)``;
+    an x row starts with 0 + F431."""
     x_rows, v_rows = [], []
     for s1, s2, s3, s4 in slot_rows:
         (x1, v1), (x2, v2), (x3, v3) = s1, s2, s3
         F431, F421 = f_abc(s4, s3, s1), f_abc(s4, s2, s1)
         D1 = f_abc(s1, s2, s4) - f_abc(s3, s2, s4)
         D2 = f_abc(s4, s1, s2) - f_abc(s3, s1, s2)
-        x_rows.append((F431, D1, D2, F421, g_abcd(s3, s1, s2, s4),
+        x_rows.append((0 + F431, D1, D2, F421, g_abcd(s3, s1, s2, s4),
                        g_abcd(s2, s1, s3, s4), x2 * F431, x3 * F421,
                        max(1.0, abs(F431), abs(D1), abs(D2), abs(F421))))
         d21, d13 = x2 - x1, x1 - x3

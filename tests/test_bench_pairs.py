@@ -1,6 +1,8 @@
-"""The pair runner's summary: medians, quartiles and wins per metric."""
+"""The pair runner's summary: medians, quartiles and wins per metric, and
+its exit status when a run was not correct."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -66,3 +68,44 @@ def test_zero_parent_median_has_no_relative_change():
     assert out["parent_median"] == 0
     assert out["relative_change"] is None
     assert out["wins"] == "0/3"
+
+
+def _fake_tool(monkeypatch, verdicts):
+    """bench_pairs without git or perfbench: ``verdicts`` maps (side, seed)
+    to (correct, failed), every other run is correct."""
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: b"0123abc\n")
+
+    def export(rev, dest):
+        (pathlib.Path(dest) / "src" / "liesuper").mkdir(parents=True)
+        (pathlib.Path(dest) / "BENCHMARK.json").write_text(json.dumps(
+            {"run_seconds": 1, "end_to_end": [_metric("lower")]}))
+
+    def run_once(checkout, workload, seed, seconds):
+        correct, failed = verdicts.get((pathlib.Path(checkout).name, seed),
+                                       (True, 0))
+        return {"correct": correct, "failed": failed, "attempted": 3,
+                "metrics": {"job_s": {"value": 1.0}}}
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "PAIRS", {"solve-sweep": 2, "verify-exact": 1})
+
+
+@pytest.mark.parametrize("verdicts, lines", [
+    ({}, []),
+    ({("change", 162): (False, 0)},
+     ["not correct: solve-sweep seed 162 change: correct=False, failed=0"]),
+    ({("parent", 161): (True, 2)},
+     ["not correct: solve-sweep seed 161 parent: correct=True, failed=2",
+      "not correct: verify-exact seed 161 parent: correct=True, failed=2"]),
+])
+def test_incorrect_runs_are_named_and_exit_1(tmp_path, capsys, monkeypatch,
+                                             verdicts, lines):
+    _fake_tool(monkeypatch, verdicts)
+    out = tmp_path / "BENCH.json"
+    code = bench_pairs.main(["--parent", "HEAD~1", "--out", str(out)])
+    assert code == (1 if lines else 0)
+    written = json.loads(out.read_text())  # the file is written either way
+    assert len(written["workloads"]["solve-sweep"]["runs"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("not correct")] == lines

@@ -446,6 +446,21 @@ def test_fd_residual_only_for_a_report(tmp_path, capsys, monkeypatch, command, b
     assert json.loads((tmp_path / "r.json").read_text())["fd_residual"] == values[0]
 
 
+@pytest.mark.parametrize("interval", [[0, 1e-300], [0, 1e-160]])
+@pytest.mark.parametrize("command, base", [
+    ("solve", SOLVE_BASE),
+    ("superpose", {k: v for k, v in SUPERPOSE_BASE.items() if k != "constants"}
+     | {"target": [0.05, -0.3]}),
+])
+def test_tiny_step_reports_null_residual(tmp_path, capsys, command, base, interval):
+    # 12*h*h is 0 or subnormal on 11 points of these windows: the FD
+    # residual does not apply, and the finished run still writes its report
+    cfg = dict(base, interval=interval, points=11, report=str(tmp_path / "r.json"))
+    assert main([command, "--config", write_config(tmp_path, "c.json", cfg)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((tmp_path / "r.json").read_text())["fd_residual"] is None
+
+
 @pytest.mark.parametrize("tol, eps_gen", [("1e-6", "1e-3"), ("nan", "x")])
 @pytest.mark.parametrize("command, base, code", [
     ("solve", {k: v for k, v in SOLVE_BASE.items() if k != "tol"}, 0),
@@ -769,6 +784,29 @@ class TestSuperpose:
         }
         code = main(["superpose", "--config", write_config(tmp_path, "c.json", cfg)])
         assert code == 5
+
+    def test_non_finite_states_exit5_before_writing(self, tmp_path, capsys):
+        # the README config at constants this large gives nan rows, and a
+        # report whose min_denominator would be the non-JSON Infinity
+        cfg = {
+            "family": "general",
+            "coefficients": {"f": "sin(t)", "g": "cos(t)", "h": "0.1"},
+            "interval": [0, 1],
+            "points": 11,
+            "initial_conditions": [[0.1, -0.2], [0.3, 0.1], [-0.2, 0.4], [0.25, -0.4]],
+            "constants": [1e200, 1e200],
+            "eps_gen": 0,
+            "output": str(tmp_path / "out.csv"),
+            "report": str(tmp_path / "r.json"),
+        }
+        code = main(["superpose", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert code == 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: degenerate configuration (reconstructed x0 = nan)"
+                       " at t = 0\n")
+        assert not (tmp_path / "out.csv").exists()
+        assert not (tmp_path / "r.json").exists()
 
     def test_both_ics_and_inputs_rejected(self, tmp_path):
         cfg = {

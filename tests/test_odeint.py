@@ -566,6 +566,17 @@ class TestTrajectory:
         with pytest.raises(dataclasses.FrozenInstanceError):
             traj.states = list(traj.states)
 
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_integrated_equals_a_validated_trajectory(self, dense):
+        # integrate skips the second walk over the grid it checked on entry
+        traj = integrate(lift_sode("mdpi"), (1.0, -1.0), 0.0, grid(0.0, 50.0, 11),
+                         1e-8, dense)
+        assert traj.rejected > 0
+        checked = Trajectory(traj.times, traj.states, tol=traj.tol, steps=traj.steps,
+                             rejected=traj.rejected, rhs_calls=traj.rhs_calls)
+        assert traj == checked and repr(traj) == repr(checked)
+        assert vars(traj) == vars(checked)
+
     def test_from_csv_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,pos,vel\n0,1,2\n")
@@ -698,6 +709,15 @@ class TestResidual:
         g = grid(0.0, 1.0, 5)
         traj = Trajectory(g, [(1 / (1 + t), 0.0) for t in g])
         with pytest.raises(GridTooCoarse):
+            residual(sys, traj)
+
+    @pytest.mark.parametrize("t1", [1e-300, 1e-160, 1e300])
+    def test_needs_a_normal_step_square(self, t1):
+        # 12*h*h underflows to 0 or a subnormal, or overflows, on these windows
+        sys = lift_sode("mdpi")
+        g = grid(0.0, t1, 11)
+        traj = Trajectory(g, [(0.1, -0.2)] * 11)
+        with pytest.raises(GridTooCoarse, match="not a positive normal float"):
             residual(sys, traj)
 
     def test_needs_uniform_grid(self):

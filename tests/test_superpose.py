@@ -319,6 +319,26 @@ class TestBasisKernel:
         assert row_bits(basis._x_rows) == row_bits(want_x)
         assert row_bits(basis._v_rows) == row_bits(want_v)
 
+    def test_x_row_starts_with_zero_plus_F431(self):
+        # each of the four terms of F431 = f_abc(s4, s3, s1) is -0.0 here
+        s1, s3, s4 = (0.0, -1.0), (0.0, 1.0), (-0.0, -1.0)
+        rows = [(s1, (0.5, 0.25), s3, s4)]
+        assert f_abc(s4, s3, s1).hex() == "-0x0.0p+0"
+        basis = SuperpositionBasis([0.0], rows)
+        assert basis._x_rows[0][0].hex() == "0x0.0p+0"
+        assert row_bits(basis._x_rows) == row_bits(basis_rows_reference(rows)[0])
+
+    def test_exact_slots_give_exact_states(self):
+        """int and Fraction slots with Fraction constants: evaluate's plain
+        path gives Fraction states, and they invert Lambda exactly."""
+        rows = [((0, 1), (2, -1), (Fraction(1, 3), 0), (-1, Fraction(1, 2))),
+                ((1, 0), (-2, 3), (Fraction(5, 2), -1), (3, Fraction(-1, 4)))]
+        lam = (Fraction(1, 2), Fraction(-3, 4))
+        states, min_den = SuperpositionBasis([0, 1], rows).evaluate(*lam, 0)
+        assert {type(y) for state in states for y in (*state, min_den)} == {Fraction}
+        for state, row in zip(states, rows):
+            assert lambda_integrals([state, *row], eps_gen=0) == lam
+
     def test_kernel_is_generated_once(self):
         assert superpose._basis_kernel() is superpose._basis_kernel()
 

@@ -293,6 +293,46 @@ class TestMemo:
                 == outcome(lambda: reconstruct(SuperposeProblem(trajs, **kw)))
 
 
+class TestCheckedGrid:
+    """A result skips the monotonicity walk only on a tuple grid; a list
+    grid may have changed since its check and is walked again."""
+
+    @pytest.mark.parametrize("c", [None, RICCATI])
+    def test_list_times_changed_after_construction(self, c):
+        times = [0.8 * i / 20 for i in range(21)]  # one list, shared by all four
+        trajs = [Trajectory(times, tr.states) for tr in family(n=21, riccati=True)]
+        times[5] = times[4]
+        with pytest.raises(ValueError, match="times must be strictly increasing"):
+            if c is None:
+                reconstruct(SuperposeProblem(trajs, constants=(0.4, -0.3)))
+            else:
+                superpose_riccati(c, trajs, constants=(0.4, -0.3))
+
+    @pytest.mark.parametrize("c", [None, RICCATI])
+    def test_result_equals_a_validated_trajectory(self, c):
+        trajs = family(n=21, riccati=True)
+        result = (superpose_riccati(c, trajs, target=(0.05, 0.3)) if c else
+                  reconstruct(SuperposeProblem(trajs, target=(0.05, 0.3)))).trajectory
+        assert type(result.times) is list and result.times == list(trajs[0].times)
+        assert result == Trajectory(list(trajs[0].times), result.states,
+                                    tol=trajs[0].tol)
+
+    def test_a3_one_with_signed_zero_velocities(self):
+        # every sign pattern of zero velocities in slots 1..3 over 8 times;
+        # at lam1 = -0.0 the last state's v0 is -0.0 = -0.0 * beta
+        c = RiccatiCoeffs(lift_sode("riccati").coeffs["a3"])
+        times = tuple(i / 10 for i in range(8))
+        trajs = [Trajectory(times, tuple((x + 0.01 * i * j, (0.0, -0.0)[(i >> j) % 2])
+                                         for i in range(8)))
+                 for j, x in enumerate((0.1, 0.3, -0.2, 0.25))]
+        for kw in ({"constants": (-0.0, 0.0)}, {"constants": (0.0, -0.0)},
+                   {"constants": (0.4, -0.3)}, {"target": (0.05, -0.0)}):
+            got = outcome(lambda: superpose_riccati(c, trajs, **kw))
+            assert got == outcome(lambda: reconstruct(SuperposeProblem(trajs, **kw)))
+        assert outcome(lambda: superpose_riccati(c, trajs, constants=(-0.0, 0.0)))[1][-1] \
+            == (bits(0.37), bits(-0.0))
+
+
 class TestDegenerateMessage:
     def test_fraction_value(self):
         exc = Degenerate("F421*F310", Fraction(1, 3), t=Fraction(1, 2))

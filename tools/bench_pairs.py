@@ -24,6 +24,9 @@ more solution by formula against integrating it) keeps its three figures,
 and the workload holds their medians per side, since a cheaper direct
 integration shrinks ``direct_over_formula``, the paper's ratio.  The file
 is rewritten after every pair, so a cut run keeps the pairs it finished.
+Once the file is complete, each run that reported ``correct: false`` or
+``failed > 0`` is named on stderr by workload, seed and side, and the tool
+exits 1: such a file records an incorrect program, not a speed.
 Uses the standard library only.
 """
 
@@ -125,6 +128,19 @@ def summary(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def faults(result: dict) -> list[str]:
+    """One line per run that was not correct or had failed operations."""
+    lines = []
+    for workload, entry in result["workloads"].items():
+        for pair in entry["runs"]:
+            for side in ("parent", "change"):
+                run = pair[side]
+                if not run["correct"] or run["failed"] > 0:
+                    lines.append(f"{workload} seed {pair['seed']} {side}: correct="
+                                 f"{run['correct']}, failed={run['failed']}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True,
@@ -176,7 +192,10 @@ def main(argv=None) -> int:
                     fh.write("\n")
                 print(f"{workload} pair {i + 1}/{n} (seed {seed}) done",
                       file=sys.stderr)
-    return 0
+    bad = faults(result)
+    for line in bad:
+        print(f"not correct: {line}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
