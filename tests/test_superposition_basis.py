@@ -319,7 +319,7 @@ class TestCheckedGrid:
 
     def test_a3_one_with_signed_zero_velocities(self):
         # every sign pattern of zero velocities in slots 1..3 over 8 times;
-        # at lam1 = -0.0 the last state's v0 is -0.0 = -0.0 * beta
+        # at lam1 = -0.0 the last v0 is -0.0, kept through v / 1.0 and v * 1.0
         c = RiccatiCoeffs(lift_sode("riccati").coeffs["a3"])
         times = tuple(i / 10 for i in range(8))
         trajs = [Trajectory(times, tuple((x + 0.01 * i * j, (0.0, -0.0)[(i >> j) % 2])
