@@ -16,11 +16,11 @@ than ground through; stiff problems, whose steps shrink without underflowing,
 end in ``StepBudgetExceeded`` once ``STEP_BUDGET`` is spent.
 
 Each family is one row of ``FAMILIES``: its coefficients with their defaults
-and its acceleration F(t, x, v), written once as a ``CoeffExpr`` tree.  A
-lift's right-hand side (t, x, v) -> F is that tree's compiled evaluator
-(``CoeffExpr.compiled``), so it evaluates in the formula's order, and a
-subtree shared by several coefficients, such as a3 and sqrt(a3) in the
-Riccati damping, once per stage.  x' = v is kept by the integrator.
+and its acceleration F(t, x, v) as a ``CoeffExpr`` tree, the Riccati one or
+``general``'s cubic, onto which ``mdpi`` (h = -f) and ``exam2`` (g = lam1)
+map; a cubic term whose coefficient is the literal 0 adds no operation.  A
+lift's rhs (t, x, v) -> F is the tree's compiled evaluator: it runs in the
+formula's order, a shared subtree such as sqrt(a3) once per stage.
 
 An independent finite-difference residual oracle is provided to check that a
 trajectory (however it was produced) actually satisfies its equation.
@@ -32,7 +32,7 @@ import math
 from dataclasses import InitVar, dataclass, field
 from typing import Callable, Sequence
 
-from .coeffexpr import CoeffExpr, Const, Neg, Sqrt, StateVar, parse_expr
+from .coeffexpr import CoeffExpr, Const, Neg, Sqrt, StateVar, _mul, _sub, parse_expr
 
 __all__ = [
     "ConstraintViolation",
@@ -144,14 +144,18 @@ def _check_riccati_constraints(a3: CoeffExpr, interval):
             raise ConstraintViolation("a3(t) > 0", t)
 
 
+def _cubic(f: CoeffExpr, g: CoeffExpr, h: CoeffExpr) -> CoeffExpr:
+    """-3xv - x^3 - f(v+x^2) - gx - h; no Const(0) term, no Const(1) factor."""
+    return _sub(_sub(_sub(Const(-3) * X * V - X**3, _mul(f, V + X**2)), _mul(g, X)), h)
+
+
 # family -> (its coefficients with their defaults, its acceleration F(t, x, v)
-# as a tree over them).  The Riccati acceleration also reads the damping b0,
-# b1, which lift_sode derives from a2 and a3.
+# as a tree over them): mdpi is the cubic with h = -f, exam2 with g = lam1, and
+# a literal 0 drops its term.  The Riccati row also reads b0, b1 (from a2, a3).
 FAMILIES = {
-    "mdpi": ({"f": 0}, lambda f: Const(-3) * X * V - X**3 + f),
-    "exam2": ({"lam1": 0}, lambda lam1: Const(-3) * X * V - X**3 - lam1 * X),
-    "general": ({"f": 0, "g": 0, "h": 0},
-                lambda f, g, h: Const(-3) * X * V - X**3 - f * (V + X**2) - g * X - h),
+    "mdpi": ({"f": 0}, lambda f: _cubic(Const(0), Const(0), Neg(f))),
+    "exam2": ({"lam1": 0}, lambda lam1: _cubic(Const(0), lam1, Const(0))),
+    "general": ({"f": 0, "g": 0, "h": 0}, _cubic),
     "riccati": ({"a0": 0, "a1": 0, "a2": 0, "a3": 1},
                 lambda a0, a1, a2, a3, b0, b1:
                 Neg(b0 + b1 * X) * V - a0 - a1 * X - a2 * X**2 - a3 * X**3),
@@ -168,7 +172,8 @@ def lift_sode(family: str, coeffs: dict | None = None,
               interval: tuple[float, float] = (0.0, 1.0)) -> FirstOrderSystem:
     """Build the first-order lift of one of the supported SODE families.
 
-    family / coefficients:
+    family / coefficients (``mdpi`` and ``exam2`` are ``general`` with h = -f
+    and with g = lam1; a cubic term of literal-0 coefficient costs nothing):
       * ``mdpi``:    f            ->  vdot = -3xv - x^3 + f(t)
       * ``exam2``:   lam1         ->  vdot = -3xv - x^3 - lam1*x
       * ``general``: f, g, h      ->  vdot = -3xv - x^3 - f(t)(v+x^2) - g(t)x - h(t)

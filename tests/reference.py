@@ -1,7 +1,10 @@
 """Slow reference implementations the fast paths are checked against.
 
 ``tree_eval`` walks a ``CoeffExpr`` node by node, the way evaluation worked
-before it was compiled.  ``dopri5_reference`` is the
+before it was compiled.  ``CUBIC_ROWS`` holds the accelerations of ``mdpi``,
+``exam2`` and ``general`` as three trees that keep every term whatever its
+coefficient, the rows ``odeint.FAMILIES`` had before the three names became
+maps onto one cubic row that leaves out a term of coefficient 0.  ``dopri5_reference`` is the
 Dormand-Prince 5(4) loop before FSAL: seven right-hand-side evaluations per
 attempted step, stage sums accumulated left to right from 0 (what the builtin
 ``sum`` does on Python 3.11; later versions compensate float sums, so the
@@ -51,6 +54,7 @@ from liesuper.coeffexpr import (
     Pow,
     Sin,
     Sqrt,
+    StateVar,
     Sub,
     TimeVar,
 )
@@ -128,6 +132,15 @@ def tree_eval(e, t):
             raise DomainError(t, e, "sqrt of a negative value")
         return math.sqrt(v)
     raise TypeError(f"unknown node {type(e).__name__}")
+
+
+_X, _V = StateVar("x"), StateVar("v")
+CUBIC_ROWS = {
+    "mdpi": lambda f: Const(-3) * _X * _V - _X**3 + f,
+    "exam2": lambda lam1: Const(-3) * _X * _V - _X**3 - lam1 * _X,
+    "general": lambda f, g, h: (
+        Const(-3) * _X * _V - _X**3 - f * (_V + _X**2) - g * _X - h),
+}
 
 
 # Dormand-Prince 5(4) tableau, restated independently of liesuper.odeint

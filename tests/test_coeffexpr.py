@@ -1,6 +1,7 @@
 """Expression trees: evaluation, exact differentiation, and the parser."""
 
 import functools
+import itertools
 import math
 import os
 import pathlib
@@ -296,13 +297,27 @@ class TestCompileMany:
 
     @pytest.mark.parametrize("family", sorted(_FORMULAS))
     def test_lifted_rhs_matches_tree_walk_bit_for_bit(self, family):
+        # the distinct coefficients at random states; then each coefficient
+        # as the literal 0, the literal 1 (a3: 1 only) or its distinct tree,
+        # at states with signed zeros, where a term left out for its zero
+        # coefficient or a factor left out for being 1 could flip a sign
         names, accel = _FORMULAS[family]
-        sys = lift_sode(family, _DISTINCT_COEFFS[family])
         rng = random.Random(20261018)
-        for _ in range(200):
-            t, x, v = rng.uniform(0, 1), rng.uniform(-2, 2), rng.uniform(-2, 2)
-            coeffs = [tree_eval(sys.coeffs[name], t) for name in names]
-            assert sys.rhs(t, x, v).hex() == accel(x, v, *coeffs).hex()
+        points = [(rng.uniform(0, 1), rng.uniform(-2, 2), rng.uniform(-2, 2))
+                  for _ in range(200)]
+        signed = list(itertools.product((0.0, 0.7), (0.0, -0.0, 1.0, -1.0),
+                                        (0.0, -0.0, 1.0, -1.0)))
+        distinct = _DISTINCT_COEFFS[family]
+        choices = [("1", text) if name == "a3" else ("0", "1", text)
+                   for name, text in distinct.items()]
+        cases = [(distinct, points)] + [
+            (dict(zip(distinct, c)), signed) for c in itertools.product(*choices)]
+        for given, states in cases:
+            sys = lift_sode(family, given)
+            for t, x, v in states:
+                coeffs = [tree_eval(sys.coeffs[name], t) for name in names]
+                assert sys.rhs(t, x, v).hex() == accel(x, v, *coeffs).hex(), (
+                    given, t, x, v)
 
     @pytest.mark.parametrize("family", sorted(_FORMULAS))
     def test_state_values_carry_no_check(self, family):

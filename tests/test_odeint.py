@@ -25,7 +25,7 @@ from liesuper.odeint import (
 from liesuper.riccati import RiccatiCoeffs, transform_state
 from liesuper.superpose import lambda_integrals
 from conftest import sample_generic_ics
-from reference import (dopri5_dense_reference, dopri5_reference,
+from reference import (CUBIC_ROWS, dopri5_dense_reference, dopri5_reference,
                        from_csv_reference, residual_reference,
                        write_csv_reference)
 
@@ -545,6 +545,55 @@ class TestDenseOutput:
                 lams.append(lambda_integrals(states))
             assert max(max(abs(l1 - lams[0][0]), abs(l2 - lams[0][1]))
                        for l1, l2 in lams) <= 1e-8
+
+
+# coefficients of the cubic rows: the literals 0, 1 and -1 as numbers and as
+# text ("-1" and "-0" parse to the negation of a literal, which the row
+# keeps), and trees of t; sqrt(1/2 - t) raises once a stage passes t = 1/2.
+# A state entry is a signed zero, 1e200 (too large for the formula) or small
+_CUBIC_COEFFS = st.sampled_from(
+    [0, 1, -1, "0", "1", "-1", "-0", "2", "sin(t)", "t - 1/2", "sqrt(1/2 - t)"])
+_SIGNED = st.sampled_from([0.0, -0.0, 1e200]) | st.floats(-2, 2)
+
+
+def _row_outcome(sys, ic, g, tol, dense):
+    """``_outcome`` of one run in either mode, or the DomainError it raised."""
+    def run(sys, ic, t0, g, tol):
+        return integrate(sys, ic, t0, g, tol, dense)
+
+    try:
+        return _outcome(run, sys, ic, g, tol)
+    except DomainError as exc:
+        return ("DomainError", exc.node, exc.reason, exc.t.hex())
+
+
+class TestCubicRow:
+    """mdpi, exam2 and general compile from one cubic row, which leaves out a
+    term whose coefficient is the literal 0 and a factor that is the literal
+    1; each name runs as the tree that wrote its every term did."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(sorted(CUBIC_ROWS)),
+        st.lists(_CUBIC_COEFFS, min_size=3, max_size=3),
+        st.tuples(_SIGNED, _SIGNED),
+        st.floats(-12, -3),
+        st.floats(0.05, 3.0),
+        st.integers(2, 25),
+    )
+    def test_each_name_runs_its_unfolded_tree_bit_for_bit(
+        self, family, values, ic, log_tol, t1, n
+    ):
+        names = odeint.FAMILIES[family][0]
+        sys = lift_sode(family, dict(zip(names, values)), interval=(0.0, t1))
+        unfolded = dataclasses.replace(
+            sys, rhs=CUBIC_ROWS[family](**sys.coeffs).compiled)
+        g = grid(0.0, t1, n)
+        g[-1] = t1
+        tol = 10.0**log_tol
+        for dense in (False, True):
+            assert _row_outcome(sys, ic, g, tol, dense) == _row_outcome(
+                unfolded, ic, g, tol, dense)
 
 
 class TestTrajectory:

@@ -3,10 +3,15 @@
 import pytest
 
 from liesuper import odeint
-from liesuper.coeffexpr import Const, DomainError, Neg, Sqrt
+from liesuper.algebra import builtin_fields
+from liesuper.coeffexpr import Const, DomainError, Neg, Sqrt, _mul, _sub
+from liesuper.exactpoly import Polynomial
 from liesuper.odeint import ConstraintViolation, Trajectory, integrate, lift_sode
 from liesuper.riccati import (
+    _COORDS,
     RiccatiCoeffs,
+    _Coeff,
+    _quotient,
     build_riccati,
     superpose_riccati,
     transform_state,
@@ -107,6 +112,61 @@ class TestTransformedRhs:
             defaults, lambda **c: accel(**c) / (c["a1"] - c["a1"])))
         with pytest.raises(ZeroDivisionError, match="division by zero"):
             transformed_rhs_check()
+
+
+def _cubic_residuals(family):
+    """Both components of 4D (the lift of ``family``'s row - the printed
+    combination X1 - h X2 - (g/2)(X3 + X7) - (f/4)(X8 - 2 X4)).
+
+    The row is read through ``_quotient`` as F = N/D on opaque coefficient
+    leaves, at s = 1 with v read as w: ``general``'s f, g, h as the leaves
+    a2, a1, a0, ``mdpi``'s f as a0 with h = -a0, ``exam2``'s lam1 as a1 with
+    g = a1, and every other coefficient of the combination 0.
+    """
+    x, w, a0, a1, a2 = (Polynomial.variable(n, _COORDS) for n in _COORDS[:5])
+    zero = 0 * x
+    leaves, (f, g, h) = {
+        "general": ({"f": "a2", "g": "a1", "h": "a0"}, (a2, a1, a0)),
+        "mdpi": ({"f": "a0"}, (zero, zero, -a0)),
+        "exam2": ({"lam1": "a1"}, (zero, a1, zero)),
+    }[family]
+    accel = odeint.FAMILIES[family][1](**{n: _Coeff(c) for n, c in leaves.items()})
+    num, den = _quotient(accel, {"v": w})
+    weights = (4, -4 * h, -2 * g, 2 * f, 0, 0, -2 * g, -f)
+    fields = [[Polynomial(_COORDS, {e + (0,) * 5: c for e, c in p.terms.items()})
+               for p in X.components] for X in builtin_fields("sl3-family")]
+    printed = [sum((c * X[k] for c, X in zip(weights, fields)), zero) for k in (0, 1)]
+    return 4 * w * den - printed[0] * den, 4 * num - printed[1] * den
+
+
+class TestCubicRow:
+    """The one cubic row that mdpi, exam2 and general compile from is the
+    t-dependent combination of X1..X8 the paper prints, read exactly."""
+
+    @pytest.mark.parametrize("family", ["general", "mdpi", "exam2"])
+    def test_each_name_is_the_printed_combination(self, family):
+        assert [str(r) for r in _cubic_residuals(family)] == ["0", "0"]
+
+    def test_negative_control_changed_term(self, monkeypatch):
+        # g x read as g v must leave the dv/dt residual 4 g (x - w) for the
+        # two names with a g term; mdpi's g is 0, so its row leaves the
+        # changed term out and still reads as the combination
+        X, V = odeint.X, odeint.V
+
+        def changed(f, g, h):
+            base = Const(-3) * X * V - X**3
+            return _sub(_sub(_sub(base, _mul(f, V + X**2)), _mul(g, V)), h)
+
+        monkeypatch.setattr(odeint, "_cubic", changed)
+        defaults, _ = odeint.FAMILIES["general"]
+        monkeypatch.setitem(odeint.FAMILIES, "general", (defaults, changed))
+        for family, residual in (("general", "4*x*a1 - 4*w*a1"),
+                                 ("exam2", "4*x*a1 - 4*w*a1"), ("mdpi", "0")):
+            x_res, v_res = _cubic_residuals(family)
+            assert (str(x_res), str(v_res)) == ("0", residual)
+        # the lifts run the same changed row: F(0, 1, 0) = -1, not -2
+        for family, given in (("general", {"g": "1"}), ("exam2", {"lam1": "1"})):
+            assert lift_sode(family, given).rhs(0.0, 1.0, 0.0) == -1.0
 
 
 class TestSuperposeRiccati:

@@ -10,8 +10,9 @@ committed files and nothing is written into the repository's ``.git``.  For pair
 a workload both sides run ``python3 perfbench/run.py --workload W --seed S
 --seconds X --trace 0`` with the same seed S = SEED + i, one after the
 other: the parent first in even pairs, the change first in odd ones.  X is
-the ``run_seconds`` of HEAD's ``BENCHMARK.json``; ``PAIRS`` holds the pairs
-per workload.
+the ``run_seconds`` of HEAD's ``BENCHMARK.json``.  ``PAIRS`` holds the pairs
+per workload: ten for each, so that a gain on any workload can show the
+change better in nine of ten pairs, the count a claimed gain is held to.
 
 For each workload and each end-to-end metric of the change's
 ``BENCHMARK.json`` the file holds both medians and quartiles, the parent's
@@ -44,7 +45,7 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PAIRS = {"verify-exact": 10, "solve-sweep": 5, "superpose-family": 5}
+PAIRS = {"verify-exact": 10, "solve-sweep": 10, "superpose-family": 10}
 SEED = 161  # the seed of pair 0
 HEADLINE = ("formula_us_per_point", "direct_us_per_point", "direct_over_formula")
 
