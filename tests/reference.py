@@ -1,10 +1,7 @@
 """Slow reference implementations the fast paths are checked against.
 
 ``tree_eval`` walks a ``CoeffExpr`` node by node, the way evaluation worked
-before it was compiled.  ``CUBIC_ROWS`` holds the accelerations of ``mdpi``,
-``exam2`` and ``general`` as three trees that keep every term whatever its
-coefficient, the rows ``odeint.FAMILIES`` had before the three names became
-maps onto one cubic row that leaves out a term of coefficient 0.  ``dopri5_reference`` is the
+before it was compiled.  ``dopri5_reference`` is the
 Dormand-Prince 5(4) loop before FSAL: seven right-hand-side evaluations per
 attempted step, stage sums accumulated left to right from 0 (what the builtin
 ``sum`` does on Python 3.11; later versions compensate float sums, so the
@@ -12,6 +9,11 @@ accumulation is spelled out here).  ``dopri5_dense_reference`` is the same
 loop stepping to the last grid time only; it keeps every accepted step and
 fills the grid times in between afterwards, each from the quintic Hermite
 interpolant of the first step that reaches it.
+
+``CUBIC_ROWS`` holds the accelerations of ``mdpi``, ``exam2`` and
+``general`` as three trees that keep every term whatever its coefficient:
+the rows of ``odeint.FAMILIES`` before the three names became maps onto one
+cubic row that leaves out a term of coefficient 0.
 
 ``from_csv_reference`` reads a trajectory CSV one line at a time, checking
 each row as it is read, and ``write_csv_reference`` writes one row per call:

@@ -570,7 +570,8 @@ def _row_outcome(sys, ic, g, tol, dense):
 class TestCubicRow:
     """mdpi, exam2 and general compile from one cubic row, which leaves out a
     term whose coefficient is the literal 0 and a factor that is the literal
-    1; each name runs as the tree that wrote its every term did."""
+    1; each name runs bit for bit as its tree in ``CUBIC_ROWS``, which
+    writes every term."""
 
     @settings(max_examples=80, deadline=None)
     @given(
