@@ -469,31 +469,29 @@ def _cleared(vector) -> tuple[int, dict]:
     }
 
 
-def _bareiss(v: dict, w: dict, piv: int, f: int, prev: int) -> dict:
-    """The Bareiss step (piv v - f w) / prev on sparse integer vectors."""
-    if not f:
-        return {s: piv * x // prev for s, x in v.items()}
+def _step(v: dict, w: dict, piv: int, f: int) -> dict:
+    """The division-free step piv v - f w on sparse integer vectors."""
     out = {s: piv * x for s, x in v.items()}
     for s, x in w.items():
         out[s] = out.get(s, 0) - f * x
-    return {s: x // prev for s, x in out.items() if x}
+    return {s: x for s, x in out.items() if x}
 
 
 class Elimination:
     """One exact elimination of a basis of sparse rational vectors.
 
     A vector is a map from slot to rational (``int`` or ``Fraction``); absent
-    slots are zero.  The basis b_1..b_k is eliminated once, in basis order,
-    by Bareiss fraction-free elimination (Bareiss 1968) on integer rows,
-    denominators cleared row by row (L_j b_j): a vector becomes a pivot row
-    iff it is independent of the vectors before it.  Each row carries its
-    integer combination a of the cleared basis rows through the same steps,
-    so that it always equals sum_j a_j L_j b_j; a basis row starts as its
-    own unit combination.  Entries of basis rows and their combinations are
-    minors of ``[L B | I]``, so every Bareiss division is exact.  A target t
-    meets only the pivots whose column it holds, by division-free steps (a
-    later pivot row is zero in each earlier pivot's column), and ends as
-    p L t + sum_j a_j L_j b_j, p their product: if zero, the a_j solve for t.
+    slots are zero.  Every row, basis vector or target, is cleared to
+    integers (L_j b_j, L t) and reduced the same way: through each pivot
+    whose column it holds, by the division-free step piv row - f pivot_row
+    (a later pivot row is zero in each earlier pivot's column).  The row's
+    integer combination a of the cleared basis rows takes the same steps, so
+    a target ends as p L t + sum_j a_j L_j b_j, p the product of the pivots
+    met.  A basis row starts as its own unit combination and becomes a pivot
+    row iff it is independent of the rows before it; it and its combination
+    are then divided by their content, their common gcd, which keeps both
+    integral and small.  A target that ends as zero is solved by the a_j.
+    One ``verify`` takes 6 pivot steps for its bases and 72 for its targets.
     """
 
     __slots__ = ("rank", "_rows", "_scales", "_pivots")
@@ -507,25 +505,27 @@ class Elimination:
             scale, row = _cleared(v)
             self._scales.append(scale)
             self._rows.append(row)
-            row, combo = self._reduce(row, {i: 1})
+            row, combo, _ = self._reduce(row, {i: 1})
             if row:
+                g = math.gcd(*row.values(), *combo.values())
+                row = {s: x // g for s, x in row.items()}
+                combo = {j: a // g for j, a in combo.items()}
                 col = next(iter(row))
                 self._pivots.append((col, row, row[col], combo))
         self.rank = len(self._pivots)
 
     def _reduce(self, row: dict, combo: dict):
-        """Run the Bareiss steps on one integer row and its combination.
+        """(row, combo, p): both reduced, p the product of the pivots met.
 
         A row reduces to nothing iff it lies in the span of the pivot rows.
         """
-        prev = 1
+        p = 1
         for col, prow, piv, pcombo in self._pivots:
-            f = row.get(col, 0)
-            if f or piv != prev:
-                row = _bareiss(row, prow, piv, f, prev)
-                combo = _bareiss(combo, pcombo, piv, f, prev)
-            prev = piv
-        return row, combo
+            if f := row.get(col):
+                row = _step(row, prow, piv, f)
+                combo = _step(combo, pcombo, piv, f)
+                p *= piv
+        return row, combo, p
 
     def solve(self, target: dict) -> list[Scalar] | None:
         """Exact coefficients c with sum c_i basis_i == target, or None.
@@ -536,24 +536,19 @@ class Elimination:
         exactly before they are returned.
         """
         scale, target_row = _cleared(target)
-        row, combo, last = target_row, {}, 1
-        for col, prow, piv, pcombo in self._pivots:
-            if f := row.get(col):
-                row = _bareiss(row, prow, piv, f, 1)
-                combo = _bareiss(combo, pcombo, piv, f, 1)
-                last *= piv
+        row, combo, p = self._reduce(target_row, {})
         if row:
             return None
-        # last * L t + sum_j a_j L_j b_j == 0
+        # p * L t + sum_j a_j L_j b_j == 0
         total: dict = {}
         for j, a in combo.items():
             for s, x in self._rows[j].items():
                 total[s] = total.get(s, 0) + a * x
         if {s: x for s, x in total.items() if x} != {
-            s: -last * x for s, x in target_row.items()
+            s: -p * x for s, x in target_row.items()
         }:
             return None
-        den = -scale * last
+        den = -scale * p
         return [_quotient(a * s, den) if (a := combo.get(j)) else 0
                 for j, s in enumerate(self._scales)]
 

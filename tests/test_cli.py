@@ -110,6 +110,38 @@ class TestVerify:
         capsys.readouterr()
         assert (len(derived), len(five_copies)) == (derivations, prolongations)
 
+    @pytest.mark.parametrize("argv, basis_steps, target_steps", [
+        (["verify"], 6, 72), (["verify", "--all-fields"], 6, 72),
+        (["verify", "--mutate-x5"], 7, 16),
+        (["verify", "--all-fields", "--mutate-x5"], 7, 16),
+        (["rank", "--point", "1/2,-1/3,2,5/7,1,0,-2/5,3"], 24, 0),
+        (["rank", "--point", "1/2,1/2,2,5/7,1,1,-2/5,3"], 25, 0),
+    ])
+    def test_elimination_work(self, capsys, monkeypatch, argv, basis_steps,
+                              target_steps):
+        # a row, basis vector or target, takes a pivot step only where it
+        # holds the pivot's column: one step of the row, one of its combination
+        steps = {"basis": 0, "target": 0}
+        where = ["basis"]
+        step, solve = exactpoly._step, exactpoly.Elimination.solve
+
+        def counting_step(*args):
+            steps[where[0]] += 1
+            return step(*args)
+
+        def counting_solve(self, target):
+            where[0] = "target"
+            try:
+                return solve(self, target)
+            finally:
+                where[0] = "basis"
+
+        monkeypatch.setattr(exactpoly, "_step", counting_step)
+        monkeypatch.setattr(exactpoly.Elimination, "solve", counting_solve)
+        main(argv)
+        capsys.readouterr()
+        assert steps == {"basis": 2 * basis_steps, "target": 2 * target_steps}
+
     def test_mutated_x5_fails_with_named_pair(self, capsys):
         code = main(["verify", "--mutate-x5"])
         assert code == 1

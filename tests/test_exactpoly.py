@@ -261,7 +261,8 @@ def _as_vector_field(vector):
 
 
 class TestElimination:
-    """One Bareiss elimination against the three eliminations it replaced."""
+    """One fraction-free reduction with content removal, for basis rows and
+    targets alike, against Bareiss's rank and the eliminations it replaced."""
 
     @settings(max_examples=100)
     @given(st.data())
@@ -333,6 +334,10 @@ class TestElimination:
     @pytest.mark.parametrize("point, rank", [
         ("1/2,-1/3,2,5/7,1,0,-2/5,3", 8),  # generic
         ("1/2,1/2,2,5/7,1,1,-2/5,3", 6),  # copy 1 duplicates copy 0
+        # 40-digit denominators that share the factors 2 and 3, so pivot rows
+        # and their combinations carry a common content to divide out
+        (f"1/{6**51},5/{2 * 6**50},-7/{3 * 6**50},2/{6**49},1,0,-2/5,3", 8),
+        ("1e-60,-1/3,2,5/7,1,0,-2/5,3", 8),  # one tiny entry beside small ones
     ])
     def test_rank_rows_match_references(self, point, rank):
         # the eight rows rank_at eliminates for `liesuper rank`: the sl(3)
