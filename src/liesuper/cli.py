@@ -91,9 +91,9 @@ MAX_POINTS = 100_001
 # more than the limit, which still admits 1e4300
 MAX_DIGITS = 4301
 # rank clears each row by the lcm of its denominators, so its cost follows the
-# digits of the whole point (eight 2,000-digit denominators took 10.2-10.5 s on
+# digits of the whole point (eight 2,000-digit denominators took 9.0-10.5 s on
 # two cores): the eight entries together may need this many digits as written,
-# one entry at MAX_DIGITS beside seven small ones, 1.6-1.7 s there
+# one entry at MAX_DIGITS beside seven small ones, 1.5-1.7 s there
 MAX_POINT_DIGITS = 4400
 _DECIMAL = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:e([-+]?[\d_]+))?\s*", re.I)
 
