@@ -489,8 +489,8 @@ class Elimination:
     a target ends as p L t + sum_j a_j L_j b_j, p the product of the pivots
     met.  A basis row starts as its own unit combination and becomes a pivot
     row iff it is independent of the rows before it; it and its combination
-    are then divided by their content, their common gcd, which keeps both
-    integral and small.  A target that ends as zero is solved by the a_j.
+    are then divided by their content, their common gcd (both stay
+    integral).  A target that ends as zero is solved by the a_j.
     One ``verify`` takes 6 pivot steps for its bases and 72 for its targets.
     """
 
