@@ -477,6 +477,32 @@ def _step(v: dict, w: dict, piv: int, f: int) -> dict:
     return {s: x for s, x in out.items() if x}
 
 
+def _reduce(pivots: list, row: dict, combo: dict):
+    """(row, combo, p): both reduced, p the product of the pivots met."""
+    p = 1
+    for col, prow, piv, pcombo in pivots:
+        if f := row.get(col):
+            row = _step(row, prow, piv, f)
+            combo = _step(combo, pcombo, piv, f)
+            p *= piv
+    return row, combo, p
+
+
+def _echelon(pairs: Iterable[tuple[dict, dict]]) -> list:
+    """The pivots of integer (row, combination) pairs: a row independent of the
+    pivot rows before it joins them, divided with its combination by their gcd."""
+    pivots: list[tuple[object, dict, int, dict]] = []
+    for row, combo in pairs:
+        row, combo, _ = _reduce(pivots, row, combo)
+        if row:
+            g = math.gcd(*row.values(), *combo.values())
+            row = {s: x // g for s, x in row.items()}
+            combo = {j: a // g for j, a in combo.items()}
+            col = next(iter(row))
+            pivots.append((col, row, row[col], combo))
+    return pivots
+
+
 class Elimination:
     """One exact elimination of a basis of sparse rational vectors.
 
@@ -487,45 +513,20 @@ class Elimination:
     (a later pivot row is zero in each earlier pivot's column).  The row's
     integer combination a of the cleared basis rows takes the same steps, so
     a target ends as p L t + sum_j a_j L_j b_j, p the product of the pivots
-    met.  A basis row starts as its own unit combination and becomes a pivot
-    row iff it is independent of the rows before it; it and its combination
-    are then divided by their content, their common gcd (both stay
-    integral).  A target that ends as zero is solved by the a_j.
+    met.  A basis row starts as its own unit combination; :func:`rank_at`
+    takes the same echelon with empty combinations, since only ``solve``
+    reads them.  A target that ends as zero is solved by the a_j.
     One ``verify`` takes 6 pivot steps for its bases and 72 for its targets.
     """
 
     __slots__ = ("rank", "_rows", "_scales", "_pivots")
 
     def __init__(self, basis: Sequence[dict]):
-        self._rows: list[dict] = []  # L_j b_j, each basis vector cleared
-        self._scales: list[int] = []  # L_j
-        # column, row, pivot, the row's combination of cleared basis rows
-        self._pivots: list[tuple[object, dict, int, dict]] = []
-        for i, v in enumerate(basis):
-            scale, row = _cleared(v)
-            self._scales.append(scale)
-            self._rows.append(row)
-            row, combo, _ = self._reduce(row, {i: 1})
-            if row:
-                g = math.gcd(*row.values(), *combo.values())
-                row = {s: x // g for s, x in row.items()}
-                combo = {j: a // g for j, a in combo.items()}
-                col = next(iter(row))
-                self._pivots.append((col, row, row[col], combo))
+        cleared = [_cleared(v) for v in basis]
+        self._scales = [scale for scale, _ in cleared]  # L_j
+        self._rows = [row for _, row in cleared]  # L_j b_j
+        self._pivots = _echelon((row, {i: 1}) for i, row in enumerate(self._rows))
         self.rank = len(self._pivots)
-
-    def _reduce(self, row: dict, combo: dict):
-        """(row, combo, p): both reduced, p the product of the pivots met.
-
-        A row reduces to nothing iff it lies in the span of the pivot rows.
-        """
-        p = 1
-        for col, prow, piv, pcombo in self._pivots:
-            if f := row.get(col):
-                row = _step(row, prow, piv, f)
-                combo = _step(combo, pcombo, piv, f)
-                p *= piv
-        return row, combo, p
 
     def solve(self, target: dict) -> list[Scalar] | None:
         """Exact coefficients c with sum c_i basis_i == target, or None.
@@ -536,7 +537,7 @@ class Elimination:
         exactly before they are returned.
         """
         scale, target_row = _cleared(target)
-        row, combo, p = self._reduce(target_row, {})
+        row, combo, p = _reduce(self._pivots, target_row, {})
         if row:
             return None
         # p * L t + sum_j a_j L_j b_j == 0
@@ -562,9 +563,8 @@ def rank_at(fields: Sequence[VectorField], point: Sequence[Scalar]) -> int:
         if f.coords != coords:
             raise CoordinateMismatch("fields live on different coordinate lists")
     pt = _point(point, len(coords))  # converted once for every component
-    return Elimination(
-        [dict(enumerate(c._eval(pt) for c in f.components)) for f in fields]
-    ).rank
+    rows = (dict(enumerate(c._eval(pt) for c in f.components)) for f in fields)
+    return len(_echelon((_cleared(v)[1], {}) for v in rows))
 
 
 def in_span(

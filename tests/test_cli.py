@@ -120,14 +120,17 @@ class TestVerify:
     def test_elimination_work(self, capsys, monkeypatch, argv, basis_steps,
                               target_steps):
         # a row, basis vector or target, takes a pivot step only where it
-        # holds the pivot's column: one step of the row, one of its combination
-        steps = {"basis": 0, "target": 0}
+        # holds the pivot's column: one step of the row, one of its combination.
+        # rank carries no combination, so each of its combination steps joins
+        # two empty vectors, and verify's never do
+        steps = {"basis": 0, "target": 0, "empty": 0}
         where = ["basis"]
         step, solve = exactpoly._step, exactpoly.Elimination.solve
 
-        def counting_step(*args):
+        def counting_step(v, w, piv, f):
             steps[where[0]] += 1
-            return step(*args)
+            steps["empty"] += not v and not w
+            return step(v, w, piv, f)
 
         def counting_solve(self, target):
             where[0] = "target"
@@ -140,7 +143,9 @@ class TestVerify:
         monkeypatch.setattr(exactpoly.Elimination, "solve", counting_solve)
         main(argv)
         capsys.readouterr()
-        assert steps == {"basis": 2 * basis_steps, "target": 2 * target_steps}
+        empty = basis_steps if argv[0] == "rank" else 0
+        assert steps == {"basis": 2 * basis_steps, "target": 2 * target_steps,
+                         "empty": empty}
 
     def test_mutated_x5_fails_with_named_pair(self, capsys):
         code = main(["verify", "--mutate-x5"])

@@ -1,5 +1,6 @@
 """Exact polynomial/vector-field kernel: algebraic laws and rank machinery."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -260,9 +261,16 @@ def _as_vector_field(vector):
     return VectorField([Polynomial(COORDS, d), Polynomial.zero(COORDS)], COORDS)
 
 
+# eight seeded 200-digit rationals of either sign
+_rng = random.Random(30)
+_LARGE = [f"{_rng.choice('-+')}{_rng.randrange(10**199, 10**200)}"
+          f"/{_rng.randrange(10**199, 10**200)}" for _ in range(8)]
+
+
 class TestElimination:
     """One fraction-free reduction with content removal, for basis rows and
-    targets alike, against Bareiss's rank and the eliminations it replaced."""
+    targets alike, against Bareiss's rank, sympy's rank and the eliminations
+    it replaced."""
 
     @settings(max_examples=100)
     @given(st.data())
@@ -352,6 +360,27 @@ class TestElimination:
         mixed = _combine([Fraction(i - 3, i + 1) for i in range(8)], rows)
         for target in rows + [mixed]:
             assert span.solve(target) == expected.solve(target)
+
+    @pytest.mark.parametrize("point, rank", [
+        pytest.param("1e4300,-1/3,2,5/7,1,0,-2/5,3", 8, id="1e4300"),
+        pytest.param(",".join(_LARGE), 8, id="200-digit"),
+        # 300-digit denominators that share the factors 2 and 3
+        pytest.param(f"1/{6**386},5/{2 * 6**385},-7/{3 * 6**385},2/{6**384},"
+                     "1,0,-2/5,3", 8, id="300-digit-shared"),
+        pytest.param(",".join([_LARGE[0], *_LARGE[:3], _LARGE[4], *_LARGE[4:7]]),
+                     6, id="200-digit-duplicated-copy"),
+    ])
+    def test_rank_at_large_entries(self, point, rank):
+        # sympy's exact rank is a third oracle, off the Bareiss path of
+        # fraction_free_rank; 1e-4300 is left out, sympy takes seconds there
+        sympy = pytest.importorskip("sympy")
+        pt = [Fraction(p) for p in point.split(",")]
+        fields8 = [prolong(X, 4) for X in builtin_fields("sl3-family")]
+        rows = [f.eval(pt) for f in fields8]
+        matrix = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                                for x in row] for row in rows])
+        assert rank_at(fields8, pt) == matrix.rank() == rank
+        assert rank == reference.fraction_free_rank(rows)
 
     def test_empty_basis(self):
         span = Elimination([])
